@@ -1,9 +1,9 @@
 """Chromatic numbers of integer distance graphs with three distances.
 
 The library classifies the chromatic number of Cay(Z, {+-a, +-b, +-c}),
-constructs periodic proper colorings with period at most b + c by pulling
-back exact colorings of circulant quotients, and certifies every answer
-with independently verified witnesses.
+constructs periodic proper colorings with period at most b + c as rotation
+words, falling back to exact colorings of circulant quotients, and
+certifies every answer with independently verified witnesses.
 """
 
 from .circulant import (
@@ -30,7 +30,6 @@ from .periodic import (
     ChiCertificate,
     LowerBound,
     PeriodicColoring,
-    candidate_moduli,
     certify,
     find_periodic_coloring,
     segment_colorable,
@@ -63,7 +62,6 @@ __all__ = [
     "admissible_collapses",
     "backtrack_coloring",
     "build_heuberger_matrix",
-    "candidate_moduli",
     "certify",
     "chi_formula",
     "chromatic_number",

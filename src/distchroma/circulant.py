@@ -1,9 +1,12 @@
 """Circulant graphs on Z_n and exact coloring search.
 
-Certificates rest on exact answers for small finite graphs, so the search
-is plain backtracking: no heuristics beyond pinning vertex 0 and
-introducing new colors in increasing order, and every coloring the search
-emits is re-checked against the adjacency lists before it is returned.
+The periodic constructor falls back to this search only when no rotation
+word exists, which includes every request for fewer colors than the
+chromatic number: there the exhausted search is the refutation.  Those
+answers must be exact, so the search is plain backtracking: no heuristics
+beyond pinning vertex 0 and introducing new colors in increasing order,
+and every coloring the search emits is re-checked against the adjacency
+lists before it is returned.
 """
 
 from dataclasses import dataclass
@@ -30,9 +33,6 @@ class Circulant:
 
     def adjacency(self) -> list[list[int]]:
         return [sorted((v + s) % self.n for s in self.conn) for v in range(self.n)]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "conn": sorted(self.conn)}
 
 
 @dataclass(frozen=True)

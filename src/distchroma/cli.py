@@ -7,6 +7,7 @@ consistency failure, 2 invalid input.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -277,6 +278,8 @@ def _cmd_sweep(args) -> int:
     return 0 if all(row.agree for row in rows) else 1
 
 
+# Built on the first call rather than at import, then shared by every call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distchroma",

@@ -2,11 +2,14 @@
 
 A color word w of length p colors vertex n with w[n mod p]; it is proper
 exactly when w[i] != w[(i + s) mod p] for every residue i and distance s.
-Such colorings are pullbacks, along reduction mod p, of colorings of the
-circulant on Z_p with the distances as connection set.  The constructor
-exploits that: it tries quotient moduli given by pair sums and differences
-of the distances (the moduli realized by row collapses of the relation
-matrix), then every remaining loop-free modulus up to b + c.
+The constructor builds the rotation word behind Zhu's circular colorings:
+vertex x gets color floor(k * (j*x mod m) / m), which cuts the cycle Z_m
+into k arcs.  The word is proper exactly when every distance s moves j*x at
+least one full arc, that is ceil(m/k) <= (j*s mod m) <= m - ceil(m/k), an
+O(1) test per pair (m, j).  Only when no such word with m <= b + c exists
+does it fall back to exact search over the circulants on Z_m, whose
+colorings pull back along reduction mod m; that search is also what proves
+no periodic coloring exists below the chromatic number.
 
 A certificate bundles the classification answer with re-verified witnesses
 in both directions: a periodic coloring for the upper bound, and a parity
@@ -96,41 +99,33 @@ class ChiCertificate:
         return cls(triple, data["chi"], ChiBranch(data["branch"]), upper, lower)
 
 
-def candidate_moduli(t: DistanceTriple) -> list[int]:
-    """Quotient moduli to try, most promising first.
-
-    Pair sums and differences of the distances come first in ascending
-    order; row collapses of the relation matrix show that a coloring with
-    one of those periods always exists at the chromatic number.  Every
-    other loop-free modulus up to b + c follows as a fallback so the
-    search is total.  A modulus m is loop-free when no distance vanishes
-    mod m.
-    """
-    a, b, c = t.distances()
-    pair_values = {a + b, a + c, b + c, b - a, c - a, c - b}
-
-    def loop_free(m: int) -> bool:
-        return all(v % m != 0 for v in (a, b, c))
-
-    primary = sorted(m for m in pair_values if m >= 2 and loop_free(m))
-    fallback = [
-        m for m in range(2, b + c + 1) if m not in pair_values and loop_free(m)
-    ]
-    return primary + fallback
-
-
 def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | None":
-    """First periodic k-coloring found over the candidate moduli.
+    """A periodic k-coloring with period at most b + c, or None.
 
-    A proper coloring of the circulant on Z_m with connection set
-    {a, b, c} pulls back to a proper coloring of the integers with period
-    m, so any result is sound.  Returns None when every candidate fails,
-    which for k below the chromatic number is guaranteed.
+    Rotation words are scanned by modulus m = 2 .. b + c, then by
+    multiplier j = 1 .. m - 1, and the first proper one is returned.  Only
+    after a miss are the circulants on every loop-free Z_m with m <= b + c
+    searched exactly, in ascending order; a proper coloring of the
+    circulant with connection set {a, b, c} pulls back to a proper coloring
+    of the integers with period m, so any result is sound.  Returns None
+    when both fail, which for k below the chromatic number is guaranteed.
     """
-    for m in candidate_moduli(t):
-        witness = exists_coloring(make_circulant(m, list(t.distances())), k)
-        if witness is not None:
-            return PeriodicColoring(period=m, colors=witness.colors, k=k, modulus_origin=m)
+    if k < 1:
+        return None
+    distances = t.distances()
+    bound = t.b + t.c
+    for m in range(2, bound + 1):
+        arc = -(-m // k)
+        residues = [s % m for s in distances]
+        for j in range(1, m):
+            if all(arc <= j * r % m <= m - arc for r in residues):
+                colors = tuple(k * (j * x % m) // m for x in range(m))
+                return PeriodicColoring(m, colors, k, m)
+    for m in range(2, bound + 1):
+        if all(s % m for s in distances):
+            witness = exists_coloring(make_circulant(m, list(distances)), k)
+            if witness is not None:
+                return PeriodicColoring(m, witness.colors, k, m)
     return None
 
 

@@ -41,6 +41,12 @@ def test_chi_json_round_trips(capsys):
     assert payload["scale"] == 2
 
 
+def test_chi_json_huge_distance(capsys):
+    assert main(["chi", "1", "3", str(10**12), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["chi"], payload["period"]) == (3, 9)
+
+
 # --------------------------------------------------------------- color
 
 def test_color_golden(capsys):
@@ -51,6 +57,11 @@ def test_color_golden(capsys):
 def test_color_all_odd(capsys):
     assert main(["color", "1", "3", "5"]) == 0
     assert capsys.readouterr().out.splitlines() == ["period 2", "0 1"]
+
+
+def test_color_period_does_not_grow_with_distance(capsys):
+    assert main(["color", "1", "2", "999"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["period 4", "0 1 2 3"]
 
 
 def test_color_below_chromatic_number_fails(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distchroma.cli import iter_triples
 from distchroma.errors import CertificationError
 from distchroma.periodic import (
     ChiCertificate,
@@ -13,7 +14,6 @@ from distchroma.periodic import (
     LOWER_SEGMENT,
     LOWER_TRIVIAL,
     PeriodicColoring,
-    candidate_moduli,
     certify,
     find_periodic_coloring,
     segment_colorable,
@@ -27,37 +27,6 @@ triples = st.tuples(
 ).map(lambda raw: normalize_triple(*raw))
 
 
-# -------------------------------------------------- candidate moduli
-
-@pytest.mark.parametrize(
-    "raw, expected",
-    [
-        ((1, 2, 3), [4, 5]),
-        ((1, 2, 4), [3, 5, 6]),
-        ((1, 3, 5), [2, 4, 6, 8, 7]),
-        ((2, 3, 5), [7, 8, 4, 6]),
-    ],
-)
-def test_candidate_moduli_golden(raw, expected):
-    assert candidate_moduli(normalize_triple(*raw)) == expected
-
-
-@given(triples)
-def test_candidate_moduli_are_loop_free_and_bounded(t):
-    moduli = candidate_moduli(t)
-    assert moduli == list(dict.fromkeys(moduli))  # no duplicates
-    for m in moduli:
-        assert 2 <= m <= t.b + t.c
-        assert all(v % m != 0 for v in t.distances())
-    # every loop-free modulus up to b+c appears somewhere
-    expected = {
-        m
-        for m in range(2, t.b + t.c + 1)
-        if all(v % m != 0 for v in t.distances())
-    }
-    assert set(moduli) == expected
-
-
 # ------------------------------------------------ coloring construction
 
 def test_find_periodic_coloring_golden():
@@ -69,9 +38,36 @@ def test_find_periodic_coloring_golden():
     assert (pc.period, pc.colors) == (3, (0, 1, 2))
 
 
+def test_rotation_word_golden():
+    pc = find_periodic_coloring(normalize_triple(2, 3, 5), 4)
+    assert (pc.period, pc.colors) == (4, (0, 1, 2, 3))
+    # x -> floor(4 * (3x mod 7) / 7); no modulus below 7 admits a word
+    pc = find_periodic_coloring(normalize_triple(1, 3, 4), 4)
+    assert (pc.period, pc.colors) == (7, (0, 1, 3, 1, 2, 0, 2))
+
+
+def test_rotation_word_found_without_search(monkeypatch):
+    # Every coprime triple up to c = 40 has a rotation word at the chromatic
+    # number with period <= b + c, so the exact search is never reached.
+    def no_search(*args):
+        raise AssertionError("exact circulant search reached")
+
+    monkeypatch.setattr("distchroma.periodic.exists_coloring", no_search)
+    for t in iter_triples(40):
+        chi, _ = chi_formula(t)
+        pc = find_periodic_coloring(t, chi)
+        assert 2 <= pc.period <= t.b + t.c
+        assert all(0 <= color < chi for color in pc.colors)
+        assert word_is_proper(t.distances(), pc.colors)
+
+
 def test_find_periodic_coloring_fails_below_chromatic_number():
     assert find_periodic_coloring(normalize_triple(1, 2, 3), 3) is None
     assert find_periodic_coloring(normalize_triple(1, 2, 4), 2) is None
+
+
+def test_find_periodic_coloring_needs_a_color():
+    assert find_periodic_coloring(normalize_triple(1, 2, 4), 0) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,7 +149,7 @@ def test_certify_three_colors_uses_parity():
 def test_certify_four_colors_uses_segment():
     cert = certify(normalize_triple(2, 3, 5))
     assert cert.chi == 4
-    assert cert.upper.period == 7
+    assert cert.upper.period == 4
     assert cert.upper.period <= 8
     assert cert.lower.kind == LOWER_SEGMENT
     assert cert.lower.length == 8 <= 6 * 8
