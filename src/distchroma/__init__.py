@@ -3,7 +3,9 @@
 The library classifies the chromatic number of Cay(Z, {+-a, +-b, +-c}),
 constructs periodic proper colorings with period at most b + c as rotation
 words, falling back to exact colorings of circulant quotients, and
-certifies every answer with independently verified witnesses.
+certifies every answer with witnesses for both bounds: the periodic upper
+witness is re-verified independently, while the lower one rests on the
+exact solver that found it.
 """
 
 from .circulant import (

@@ -1,15 +1,19 @@
-"""Circulant graphs on Z_n and exact coloring search.
+"""Circulant graphs on Z_n and the exact coloring solver.
 
-The periodic constructor falls back to this search only when no rotation
-word exists, which includes every request for fewer colors than the
-chromatic number: there the exhausted search is the refutation.  Those
-answers must be exact, so the search is plain backtracking: no heuristics
-beyond pinning vertex 0 and introducing new colors in increasing order,
-and every coloring the search emits is re-checked against the adjacency
-lists before it is returned.
+One solver, backtrack_coloring, answers every coloring question in the
+package: whether a segment of the distance graph can be colored with one
+color fewer than the chromatic number, and, when no rotation word exists,
+whether a circulant quotient on Z_m can be colored.  Below the chromatic
+number the exhausted search is the refutation, so the solver is exact: it
+prunes only by forward checking, unit propagation and the interchangeability
+of unused colors, never by a heuristic cut-off.  It orders vertices by
+fewest remaining colors (DSatur) and keeps its state on explicit stacks, and
+every coloring it emits is re-checked against the adjacency lists before
+exists_coloring returns it.
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import InvalidInputError, QuotientLoopsError
 
@@ -71,32 +75,112 @@ def is_proper(adjacency: list[list[int]], colors) -> bool:
 def backtrack_coloring(adjacency: list[list[int]], k: int) -> "list[int] | None":
     """Exact k-coloring of an adjacency-list graph, or None.
 
-    Vertex 0 is pinned to color 0, and a vertex may use at most one color
-    index beyond those already placed; that removes color permutations from
-    the search space without losing completeness.
+    Each vertex keeps its remaining colors as a bitmask.  Placing a color
+    strikes it from every uncolored neighbor (forward checking); a neighbor
+    left with one color takes it at once (unit propagation) and one left
+    with none refutes the branch.  Every change is logged on a trail and
+    undone on backtracking, and the search runs on an explicit stack, so
+    depth is bounded by memory, not by the interpreter's recursion limit.
+
+    The next vertex to branch on has the fewest remaining colors, ties going
+    to the lowest index (DSatur); one heap per domain size finds it without
+    a scan.  Colors no vertex uses yet are interchangeable, so a branch tries
+    the colors in use and only the lowest unused one: vertex 0 gets color 0
+    and no color permutation is searched twice.  Completeness is kept, so
+    None means no proper k-coloring exists.
     """
     n = len(adjacency)
     if n == 0:
         return []
     if k < 1:
         return None
+    full = (1 << k) - 1
+    domain = [full] * n
     colors = [-1] * n
-    colors[0] = 0
+    # heaps[s] holds every uncolored vertex with s colors left, plus stale
+    # entries that are dropped when they reach the top.
+    heaps = [[] for _ in range(k + 1)]
+    heaps[k] = list(range(n))
+    # Undo log: u * k + c for color c struck from u, ~v for v colored.
+    trail = []
+    used = 0  # bitmask of the colors placed so far
 
-    def extend(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        taken = {colors[u] for u in adjacency[v] if colors[u] >= 0}
-        for c in range(min(k - 1, used) + 1):
-            if c in taken:
+    def next_vertex() -> int:
+        for s in range(1, k + 1):
+            heap = heaps[s]
+            while heap:
+                v = heap[0]
+                if colors[v] < 0 and domain[v].bit_count() == s:
+                    return v
+                heappop(heap)
+        return -1
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry < 0:
+                v = ~entry
+                colors[v] = -1
+            else:
+                v, c = divmod(entry, k)
+                domain[v] |= 1 << c
+            heappush(heaps[domain[v].bit_count()], v)
+
+    def propagate(vertex: int) -> bool:
+        """Strike the colors of vertex, and of every vertex it forces, from
+        their neighbors; False on a conflict."""
+        nonlocal used
+        pending = [vertex]
+        while pending:
+            v = pending.pop()
+            c = colors[v]
+            bit = 1 << c
+            used |= bit
+            for u in adjacency[v]:
+                if colors[u] >= 0:
+                    if colors[u] == c:
+                        return False
+                    continue
+                d = domain[u]
+                if d & bit:
+                    d ^= bit
+                    domain[u] = d
+                    trail.append(u * k + c)
+                    left = d.bit_count()
+                    if left == 0:
+                        return False
+                    if left == 1:
+                        colors[u] = d.bit_length() - 1
+                        trail.append(~u)
+                        pending.append(u)
+                    else:
+                        heappush(heaps[left], u)
+        return True
+
+    # Branch frames: [vertex, colors left to try, trail mark, colors in use].
+    stack = []
+    while True:
+        vertex = next_vertex()
+        if vertex < 0:
+            return colors
+        fresh = full & ~used
+        options = domain[vertex] & (used | (fresh & -fresh))
+        stack.append([vertex, options, len(trail), used])
+        while True:
+            if not stack:
+                return None
+            frame = stack[-1]
+            vertex, options, mark, used = frame
+            undo(mark)
+            if not options:
+                stack.pop()
                 continue
-            colors[v] = c
-            if extend(v + 1, max(used, c + 1)):
-                return True
-        colors[v] = -1
-        return False
-
-    return colors if extend(1, 1) else None
+            bit = options & -options
+            frame[1] = options ^ bit
+            colors[vertex] = bit.bit_length() - 1
+            trail.append(~vertex)
+            if propagate(vertex):
+                break
 
 
 def exists_coloring(c: Circulant, k: int) -> "Coloring | None":

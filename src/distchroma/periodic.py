@@ -151,15 +151,16 @@ def verify_periodic(t: DistanceTriple, pc: PeriodicColoring) -> bool:
 
 def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
     """Whether vertices 0..length with the triple's distances admit a
-    proper k-coloring, by exact backtracking with vertex 0 pinned.
+    proper k-coloring, decided by the exact solver.
 
     Any induced finite subgraph bounds the chromatic number of the whole
     graph from below; an uncolorable segment is therefore a lower-bound
     witness.
     """
+    distances = set(t.distances())
     adjacency = [[] for _ in range(length + 1)]
     for v in range(length + 1):
-        for s in set(t.distances()):
+        for s in distances:
             if v + s <= length:
                 adjacency[v].append(v + s)
                 adjacency[v + s].append(v)

@@ -1,7 +1,9 @@
 """Tests for circulant construction and the exact coloring search."""
 
+from itertools import combinations, product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distchroma.circulant import (
@@ -89,6 +91,68 @@ def test_backtrack_coloring_edge_cases():
     assert backtrack_coloring([[]], 1) == [0]
     assert backtrack_coloring([[1], [0]], 1) is None
     assert backtrack_coloring([[1], [0]], 0) is None
+
+
+def brute_force_colorable(n, edges, k) -> bool:
+    # Reference answer: try every assignment of k colors to n vertices.
+    return any(
+        all(colors[u] != colors[v] for u, v in edges)
+        for colors in product(range(k), repeat=n)
+    )
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+# Few small graphs force a backtrack, so the search needs many examples to
+# exercise the undo path; the explicit examples each need one.
+@settings(max_examples=500, deadline=None)
+@given(small_graphs(), st.integers(0, 4))
+@example((6, [(0, 1), (0, 2), *combinations(range(1, 6), 2)]), 4)
+@example(
+    (6, [(0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)]), 3
+)
+@example(
+    (7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2),
+         (1, 3), (1, 5), (3, 4), (3, 6), (4, 6), (5, 6)]),
+    3,
+)
+def test_backtrack_coloring_matches_brute_force(graph, k):
+    n, edges = graph
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    found = backtrack_coloring(adjacency, k)
+    assert (found is not None) == brute_force_colorable(n, edges, k)
+    if found is not None:
+        assert len(found) == n
+        assert all(0 <= color < k for color in found)
+        assert all(found[u] != found[v] for u, v in edges)
+
+
+def test_backtrack_coloring_long_odd_cycle():
+    # Deeper than the interpreter's recursion limit.
+    n = 5001
+    adjacency = [[(v - 1) % n, (v + 1) % n] for v in range(n)]
+    assert backtrack_coloring(adjacency, 2) is None
+    found = backtrack_coloring(adjacency, 3)
+    assert found is not None
+    assert all(0 <= color < 3 for color in found)
+    assert all(found[v] != found[(v + 1) % n] for v in range(n))
+
+
+def test_exists_coloring_large_circulant():
+    c = make_circulant(1500, [1, 2, 3])
+    witness = exists_coloring(c, 4)
+    assert witness is not None
+    assert properly_colored(c, witness.colors)
+    assert exists_coloring(c, 3) is None  # vertices 0..3 form a 4-clique
 
 
 def test_is_proper_rejects_bad_coloring():

@@ -47,6 +47,15 @@ def test_chi_json_huge_distance(capsys):
     assert (payload["chi"], payload["period"]) == (3, 9)
 
 
+@pytest.mark.parametrize(
+    "distances, length", [(("1", "2", "999"), 1001), (("2", "499", "501"), 1000)]
+)
+def test_chi_json_long_segment(capsys, distances, length):
+    assert main(["chi", *distances, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["chi"], payload["lower"]) == (4, {"type": "segment", "L": length})
+
+
 # --------------------------------------------------------------- color
 
 def test_color_golden(capsys):

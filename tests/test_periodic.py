@@ -119,6 +119,37 @@ def test_segment_uncolorable_for_1_2_6():
     assert segment_colorable(t, 48, 4)
 
 
+# Lower-bound segment length of certify() for every four-chromatic coprime
+# triple with c <= 20, recorded with an in-order backtracking search rather
+# than the solver under test.  An exact solver reproduces each entry; one
+# that declared a segment uncolorable too early would shorten it.
+SEGMENT_LENGTHS = {
+    (1, 2, 3): 5, (1, 2, 6): 8, (1, 2, 9): 11, (1, 2, 12): 14,
+    (1, 2, 15): 17, (1, 2, 18): 20, (1, 3, 4): 7, (1, 5, 6): 11,
+    (1, 6, 7): 13, (1, 8, 9): 17, (1, 9, 10): 19, (1, 11, 12): 23,
+    (1, 12, 13): 25, (1, 14, 15): 29, (1, 15, 16): 31, (1, 17, 18): 35,
+    (1, 18, 19): 37, (2, 3, 5): 8, (2, 7, 9): 16, (2, 9, 11): 20,
+    (2, 13, 15): 28, (2, 15, 17): 32, (3, 4, 7): 11, (3, 5, 8): 26,
+    (3, 7, 10): 17, (3, 8, 11): 19, (3, 10, 13): 46, (3, 11, 14): 25,
+    (3, 13, 16): 29, (3, 14, 17): 62, (3, 16, 19): 35, (3, 17, 20): 37,
+    (4, 5, 9): 14, (4, 9, 13): 44, (4, 11, 15): 52, (4, 15, 19): 34,
+    (5, 6, 11): 17, (5, 7, 12): 38, (5, 9, 14): 46, (5, 12, 17): 58,
+    (5, 13, 18): 62, (6, 7, 13): 20, (6, 11, 17): 56, (6, 13, 19): 64,
+    (7, 8, 15): 23, (7, 9, 16): 50, (7, 11, 18): 58, (7, 12, 19): 62,
+    (8, 9, 17): 26, (9, 10, 19): 29, (9, 11, 20): 62,
+}
+
+
+def test_segment_length_golden():
+    found = {}
+    for t in iter_triples(20):
+        if chi_formula(t)[0] == 4:
+            cert = certify(t)
+            assert cert.lower.kind == LOWER_SEGMENT
+            found[t.distances()] = cert.lower.length
+    assert found == SEGMENT_LENGTHS
+
+
 @settings(deadline=None)
 @given(triples)
 def test_segment_monotone_in_k(t):
