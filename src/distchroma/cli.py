@@ -147,6 +147,9 @@ def _cmd_chi(args) -> int:
     if args.json:
         try:
             cert = certify(t)
+        except InvalidInputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except CertificationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -168,7 +171,11 @@ def _cmd_color(args) -> int:
         print("error: number of colors must be positive", file=sys.stderr)
         return 2
     _note_normalization(args, t)
-    pc = find_periodic_coloring(t, k)
+    try:
+        pc = find_periodic_coloring(t, k)
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if pc is None:
         print(
             f"no periodic {k}-coloring with period <= {t.b + t.c} "

@@ -1,15 +1,24 @@
 """Periodic colorings of the three-distance graph on the integers.
 
 A color word w of length p colors vertex n with w[n mod p]; it is proper
-exactly when w[i] != w[(i + s) mod p] for every residue i and distance s.
-The constructor builds the rotation word behind Zhu's circular colorings:
-vertex x gets color floor(k * (j*x mod m) / m), which cuts the cycle Z_m
-into k arcs.  The word is proper exactly when every distance s moves j*x at
-least one full arc, that is ceil(m/k) <= (j*s mod m) <= m - ceil(m/k), an
-O(1) test per pair (m, j).  Only when no such word with m <= b + c exists
-does it fall back to exact search over the circulants on Z_m, whose
-colorings pull back along reduction mod m; that search is also what proves
-no periodic coloring exists below the chromatic number.
+exactly when w[i] != w[(i + s) mod p] for every residue i and distance s,
+that is, when the word differs in every position from its rotation by
+s mod p.  The constructor builds the rotation word behind Zhu's circular
+colorings: vertex x gets color floor(k * (j*x mod m) / m), which cuts the
+cycle Z_m into k arcs.  The word is proper exactly when every distance s
+moves j*x at least one full arc, that is
+ceil(m/k) <= (j*s mod m) <= m - ceil(m/k), an O(1) test per pair (m, j).
+
+The search for (m, j) has three steps.  Every modulus up to
+SMALL_MODULUS_LIMIT is scanned with every multiplier.  Beyond it only the
+row-collapse moduli |s - t| and s + t of two distances are tried: there two
+distances coincide up to sign, two window constraints are left, and a
+Euclid-style descent finds a multiplier in O(log m) or proves there is
+none.  Only when both miss does an exact search over the circulants on
+every loop-free Z_m with m <= b + c run; their colorings pull back along
+reduction mod m, and that search is also what proves no periodic coloring
+exists below the chromatic number.  No word longer than MAX_WORD_LENGTH is
+ever built.
 
 A certificate bundles the classification answer with re-verified witnesses
 in both directions: a periodic coloring for the upper bound, and a parity
@@ -17,9 +26,11 @@ argument or an exhaustively uncolorable segment for the lower bound.
 """
 
 from dataclasses import dataclass
+from math import gcd
+from operator import ne
 
 from .circulant import backtrack_coloring, exists_coloring, make_circulant
-from .errors import CertificationError
+from .errors import CertificationError, InvalidInputError
 from .zhu import ChiBranch, DistanceTriple, chi_formula, is_bipartite
 
 LOWER_TRIVIAL = "trivial"
@@ -30,6 +41,15 @@ LOWER_SEGMENT = "segment"
 # b+c; an uncolorable segment has always appeared well before the cap on
 # every swept instance, and running past it aborts rather than guessing.
 SEGMENT_CAP_FACTOR = 6
+
+# Every modulus up to this one is scanned with every multiplier, which keeps
+# the first word in (m, j) order; past it only the collapse moduli are tried.
+SMALL_MODULUS_LIMIT = 64
+
+# Longest color word the constructor builds.  A longer period is refused
+# with InvalidInputError before any memory is allocated for it, and so is an
+# exact search that would have to reach past it.
+MAX_WORD_LENGTH = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,38 +122,165 @@ class ChiCertificate:
 def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | None":
     """A periodic k-coloring with period at most b + c, or None.
 
-    Rotation words are scanned by modulus m = 2 .. b + c, then by
-    multiplier j = 1 .. m - 1, and the first proper one is returned.  Only
-    after a miss are the circulants on every loop-free Z_m with m <= b + c
-    searched exactly, in ascending order; a proper coloring of the
-    circulant with connection set {a, b, c} pulls back to a proper coloring
-    of the integers with period m, so any result is sound.  Returns None
-    when both fail, which for k below the chromatic number is guaranteed.
+    Rotation words are tried in three steps, and the first proper one is
+    returned:
+
+    1. every modulus m = 2 .. min(b + c, SMALL_MODULUS_LIMIT) with every
+       multiplier j = 1 .. m - 1, in that order;
+    2. the distinct collapse moduli |s - t| and s + t of two distances that
+       lie above SMALL_MODULUS_LIMIT and at most b + c, in ascending order,
+       each decided in O(log m) by _collapse_multiplier;
+    3. only after both miss, the circulants on every loop-free Z_m with
+       m <= b + c are searched exactly, in ascending order.  A proper
+       coloring of the circulant with connection set {a, b, c} pulls back
+       to a proper coloring of the integers with period m, so any result is
+       sound, and None means that no periodic k-coloring with period at
+       most b + c exists, which for k below the chromatic number is
+       guaranteed.
+
+    Raises InvalidInputError, naming the triple and the period, when the
+    word found is longer than MAX_WORD_LENGTH, or when step 3 would have to
+    search periods beyond it.
     """
     if k < 1:
         return None
-    distances = t.distances()
-    bound = t.b + t.c
-    for m in range(2, bound + 1):
-        arc = -(-m // k)
-        residues = [s % m for s in distances]
+    a, b, c = t.distances()
+    bound = b + c
+    for m in range(2, min(bound, SMALL_MODULUS_LIMIT) + 1):
+        ra, rb, rc = a % m, b % m, c % m
+        if not (ra and rb and rc):
+            continue  # a loop on Z_m: j*0 = 0 lies outside every window
+        lo = -(-m // k)
+        hi = m - lo
         for j in range(1, m):
-            if all(arc <= j * r % m <= m - arc for r in residues):
-                colors = tuple(k * (j * x % m) // m for x in range(m))
-                return PeriodicColoring(m, colors, k, m)
+            if lo <= j * ra % m <= hi and lo <= j * rb % m <= hi and lo <= j * rc % m <= hi:
+                return _rotation_word(t, m, j, k)
+    moduli = {b - a, c - a, c - b, a + b, a + c, b + c}
+    for m in sorted(n for n in moduli if SMALL_MODULUS_LIMIT < n <= bound):
+        # The window is symmetric under r -> m - r, so a residue and its
+        # negative impose the same constraint; two distances coincide up to
+        # sign at a collapse modulus, so at most two residues are left.
+        folded = sorted({min(r, m - r) for r in (a % m, b % m, c % m)})
+        j = _collapse_multiplier(m, k, folded[0], folded[-1])
+        if j is not None:
+            return _rotation_word(t, m, j, k)
+    if bound > MAX_WORD_LENGTH:
+        raise InvalidInputError(
+            f"no rotation {k}-coloring word found for {t.distances()}, and an "
+            f"exact search up to period {bound} exceeds MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
+        )
     for m in range(2, bound + 1):
-        if all(s % m for s in distances):
-            witness = exists_coloring(make_circulant(m, list(distances)), k)
+        if a % m and b % m and c % m:
+            witness = exists_coloring(make_circulant(m, [a, b, c]), k)
             if witness is not None:
                 return PeriodicColoring(m, witness.colors, k, m)
     return None
 
 
+def _rotation_word(t: DistanceTriple, m: int, j: int, k: int) -> PeriodicColoring:
+    if m > MAX_WORD_LENGTH:
+        raise InvalidInputError(
+            f"the rotation {k}-coloring word for {t.distances()} has period {m}, "
+            f"above MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
+        )
+    return PeriodicColoring(m, tuple(k * (j * x % m) // m for x in range(m)), k, m)
+
+
+def _collapse_multiplier(m: int, k: int, r1: int, r2: int) -> "int | None":
+    """Some j in [1, m) with both j*r1 mod m and j*r2 mod m in the window
+    [ceil(m/k), m - ceil(m/k)], or None when there is none.
+
+    Dividing m, r1, r2 by d = gcd(r1, r2, m) scales every value j*r mod m
+    by d, so the window shrinks to its multiples of d and the reduced
+    residues have no common factor with the modulus.  With g = gcd(r1, m)
+    and n = m / g, j*r1 mod m = g*y where y = j*(r1/g) mod n, so the first
+    constraint asks for y in [ceil(lo/g), floor(hi/g)].  Every j with a
+    given y is j0 + n*t, and j*r2 mod m then runs over all values congruent
+    to j0*r2 mod n, because t*r2 mod g runs over all of Z_g once g and r2
+    are coprime.  The second constraint therefore asks for q*y mod n, with
+    q = r2 / (r1/g) mod n, to fall in the window taken mod n: one or two
+    intervals, each searched by _least_multiple_in.  The least such y is
+    lifted back to j through t.  O(log m) arithmetic operations.
+    """
+    lo = -(-m // k)
+    hi = m - lo
+    d = gcd(r1, r2, m)
+    m, r1, r2 = m // d, r1 // d, r2 // d
+    lo, hi = -(-lo // d), hi // d
+    g = gcd(r1, m)
+    n = m // g
+    y_lo, y_hi = -(-lo // g), hi // g
+    if y_lo > y_hi:
+        return None
+    inverse = pow(r1 // g, -1, n)
+    q = inverse * r2 % n
+    width = hi - lo + 1
+    if width >= n:
+        x = 0
+    else:
+        start = (lo - q * y_lo) % n
+        end = start + width - 1
+        if end < n:
+            x = _least_multiple_in(q, n, start, end)
+        else:
+            hits = (_least_multiple_in(q, n, start, n - 1), _least_multiple_in(q, n, 0, end - n))
+            x = min((h for h in hits if h is not None), default=None)
+        if x is None:
+            return None
+    y = y_lo + x
+    if y > y_hi:
+        return None
+    j0 = y * inverse % n
+    base = j0 * r2 % m
+    # the least value in the window congruent to base mod n; it is <= hi
+    # because q*y mod n fell in the window taken mod n
+    value = lo + (base - lo) % n
+    t = (value - base) // n * pow(r2, -1, g) % g
+    return j0 + n * t
+
+
+def _least_multiple_in(a: int, m: int, lo: int, hi: int) -> "int | None":
+    """The least x >= 0 with lo <= a*x mod m <= hi, or None; needs
+    0 <= lo <= hi < m.
+
+    If some multiple of a lies in [lo, hi] itself, the answer is
+    ceil(lo/a).  Otherwise a*x - m*y falls in the window for the least y
+    with m*y mod a in [a - hi mod a, a - lo mod a], a problem of the same
+    shape on (m mod a, a), and x = ceil((lo + m*y)/a).  The descent follows
+    Euclid's algorithm on (a, m), so it takes O(log m) steps; they are
+    stacked and unwound iteratively.
+    """
+    a %= m
+    frames = []
+    while True:
+        if lo == 0:
+            x = 0
+            break
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        frames.append((a, m, lo))
+        a, m, lo, hi = m % a, a, a - hi % a, a - lo % a
+    for a, m, lo in reversed(frames):
+        x = -(-(lo + m * x) // a)
+    return x
+
+
 def word_is_proper(distances: tuple[int, ...], colors: tuple[int, ...]) -> bool:
     """Properness of the periodic coloring a color word induces on the
-    integers, checked over one period."""
+    integers, checked over one period: the word must differ in every
+    position from its rotation by each distance.  An empty word colors
+    nothing and is not proper."""
+    if not colors:
+        return False
     p = len(colors)
-    return all(colors[i] != colors[(i + s) % p] for i in range(p) for s in distances)
+    doubled = colors * 2  # doubled[s % p:] starts with the rotation by s
+    for s in distances:
+        if not all(map(ne, colors, doubled[s % p:])):
+            return False
+    return True
 
 
 def verify_periodic(t: DistanceTriple, pc: PeriodicColoring) -> bool:

@@ -47,6 +47,29 @@ def test_chi_json_huge_distance(capsys):
     assert (payload["chi"], payload["period"]) == (3, 9)
 
 
+def test_chi_json_collapse_modulus(capsys, monkeypatch):
+    # The first word of (1, 3^8, 2 * 3^8) has period b + c = 3^9, found at
+    # that collapse modulus without any search.
+    def no_search(*args):
+        raise AssertionError("exact circulant search reached")
+
+    monkeypatch.setattr("distchroma.periodic.exists_coloring", no_search)
+    assert main(["chi", "1", "6561", "13122", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["chi"], payload["period"]) == (3, 19683)
+
+
+@pytest.mark.parametrize("command", [["chi", "--json"], ["color"]])
+def test_word_beyond_envelope_is_refused(capsys, command):
+    # The word for (1, 3^20, 2 * 3^20) would have 3^21 entries.
+    name, *flags = command
+    assert main([name, "1", str(3**20), str(2 * 3**20), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(3**21) in line
+
+
 @pytest.mark.parametrize(
     "distances, length", [(("1", "2", "999"), 1001), (("2", "499", "501"), 1000)]
 )
@@ -75,6 +98,13 @@ def test_color_period_does_not_grow_with_distance(capsys):
 
 def test_color_below_chromatic_number_fails(capsys):
     assert main(["color", "1", "2", "3", "--k", "3"]) == 1
+    assert "chromatic number is 4" in capsys.readouterr().err
+
+
+def test_color_below_chromatic_number_large_distance(capsys):
+    # No word exists, so the exact search over every period up to 1001
+    # refutes three colors.
+    assert main(["color", "1", "2", "999", "--k", "3"]) == 1
     assert "chromatic number is 4" in capsys.readouterr().err
 
 

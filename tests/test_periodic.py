@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distchroma.cli import iter_triples
-from distchroma.errors import CertificationError
+from distchroma.errors import CertificationError, InvalidInputError
 from distchroma.periodic import (
     ChiCertificate,
     LOWER_PARITY,
     LOWER_SEGMENT,
     LOWER_TRIVIAL,
     PeriodicColoring,
+    _collapse_multiplier,
+    _least_multiple_in,
     certify,
     find_periodic_coloring,
     segment_colorable,
@@ -46,19 +48,84 @@ def test_rotation_word_golden():
     assert (pc.period, pc.colors) == (7, (0, 1, 3, 1, 2, 0, 2))
 
 
-def test_rotation_word_found_without_search(monkeypatch):
-    # Every coprime triple up to c = 40 has a rotation word at the chromatic
-    # number with period <= b + c, so the exact search is never reached.
-    def no_search(*args):
-        raise AssertionError("exact circulant search reached")
+def no_search(*args):
+    raise AssertionError("exact circulant search reached")
 
+
+def test_rotation_word_found_without_search(monkeypatch):
+    # Every coprime triple up to c = 60 has a rotation word with period
+    # <= b + c at the chromatic number and one color above it, found at a
+    # small modulus or a collapse modulus, so the exact search is never
+    # reached.
     monkeypatch.setattr("distchroma.periodic.exists_coloring", no_search)
-    for t in iter_triples(40):
+    for t in iter_triples(60):
         chi, _ = chi_formula(t)
-        pc = find_periodic_coloring(t, chi)
-        assert 2 <= pc.period <= t.b + t.c
-        assert all(0 <= color < chi for color in pc.colors)
-        assert word_is_proper(t.distances(), pc.colors)
+        for k in (chi, chi + 1):
+            pc = find_periodic_coloring(t, k)
+            assert 2 <= pc.period <= t.b + t.c
+            assert all(0 <= color < k for color in pc.colors)
+            assert word_is_proper(t.distances(), pc.colors)
+
+
+def test_rotation_word_at_collapse_modulus(monkeypatch):
+    # No modulus up to 64 admits a 3-coloring word; the collapse modulus
+    # b + c = 69 = 3 * 23 does, though no distance is a unit mod 69.
+    monkeypatch.setattr("distchroma.periodic.exists_coloring", no_search)
+    t = normalize_triple(3, 23, 46)
+    pc = find_periodic_coloring(t, 3)
+    assert pc.period == 69
+    assert verify_periodic(t, pc)
+
+
+def brute_force_multipliers(m, k, r1, r2):
+    arc = -(-m // k)
+    return [j for j in range(1, m) if arc <= j * r1 % m <= m - arc and arc <= j * r2 % m <= m - arc]
+
+
+@st.composite
+def residue_cases(draw):
+    m = draw(st.integers(2, 300))
+    k = draw(st.integers(2, 5))
+    # a shared factor with m makes a residue a non-unit
+    factors = st.sampled_from([1, 2, 3, 4, 5, 6, 9])
+    r1 = draw(factors) * draw(st.integers(0, m - 1)) % m
+    r2 = draw(factors) * draw(st.integers(0, m - 1)) % m
+    return m, k, r1, r2
+
+
+@settings(max_examples=1000, deadline=None)
+@given(residue_cases())
+def test_collapse_multiplier_matches_brute_force(case):
+    m, k, r1, r2 = case
+    j = _collapse_multiplier(m, k, r1, r2)
+    expected = brute_force_multipliers(m, k, r1, r2)
+    if j is None:
+        assert expected == []
+    else:
+        assert j in expected
+        word = tuple(k * (j * x % m) // m for x in range(m))
+        assert word_is_proper((r1, r2), word)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 300).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, 2 * m), st.integers(0, m - 1), st.integers(0, m - 1))
+))
+def test_least_multiple_in_matches_brute_force(case):
+    m, a, lo, hi = case
+    lo, hi = min(lo, hi), max(lo, hi)
+    expected = next((x for x in range(m) if lo <= a * x % m <= hi), None)
+    assert _least_multiple_in(a, m, lo, hi) == expected
+
+
+def test_word_envelope(monkeypatch):
+    monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 6)
+    # the first word of (1, 3, 4) has period 7
+    with pytest.raises(InvalidInputError, match=r"\(1, 3, 4\) has period 7"):
+        find_periodic_coloring(normalize_triple(1, 3, 4), 4)
+    # refuting three colors for (1, 2, 6) would search periods up to 8
+    with pytest.raises(InvalidInputError, match=r"\(1, 2, 6\).*period 8"):
+        find_periodic_coloring(normalize_triple(1, 2, 6), 3)
 
 
 def test_find_periodic_coloring_fails_below_chromatic_number():
@@ -102,6 +169,10 @@ def test_word_is_proper_distance_divisible_by_period():
     # A distance that is a multiple of the period compares a residue with
     # itself, so the word can never be proper.
     assert not word_is_proper((2, 6, 10), (0, 1))
+
+
+def test_word_is_proper_empty_word():
+    assert not word_is_proper((1, 2, 3), ())
 
 
 # ------------------------------------------------------------ segments
