@@ -2,10 +2,10 @@
 
 The library classifies the chromatic number of Cay(Z, {+-a, +-b, +-c}),
 constructs periodic proper colorings with period at most b + c as rotation
-words, falling back to exact colorings of circulant quotients, and
-certifies every answer with witnesses for both bounds: the periodic upper
-witness is re-verified independently, while the lower one rests on the
-exact solver that found it.
+words, and certifies every answer with witnesses for both bounds: the
+periodic upper witness is re-verified independently, while the lower one
+rests on the exact solver that found it.  The lower witness also refutes
+any number of colors below the chromatic number.
 """
 
 from .circulant import (
@@ -34,6 +34,7 @@ from .periodic import (
     PeriodicColoring,
     certify,
     find_periodic_coloring,
+    lower_bound,
     segment_colorable,
     verify_periodic,
     word_is_proper,
@@ -75,6 +76,7 @@ __all__ = [
     "hermite_reduce_step",
     "is_bipartite",
     "is_proper",
+    "lower_bound",
     "make_circulant",
     "normalize_triple",
     "orient_for_matrix",

@@ -1,15 +1,14 @@
 """Circulant graphs on Z_n and the exact coloring solver.
 
-One solver, backtrack_coloring, answers every coloring question in the
-package: whether a segment of the distance graph can be colored with one
-color fewer than the chromatic number, and, when no rotation word exists,
-whether a circulant quotient on Z_m can be colored.  Below the chromatic
-number the exhausted search is the refutation, so the solver is exact: it
-prunes only by forward checking, unit propagation and the interchangeability
-of unused colors, never by a heuristic cut-off.  It orders vertices by
-fewest remaining colors (DSatur) and keeps its state on explicit stacks, and
-every coloring it emits is re-checked against the adjacency lists before
-exists_coloring returns it.
+backtrack_coloring decides whether a segment of the distance graph can be
+colored with one color fewer than the chromatic number; that exhausted
+search is the lower-bound witness, so the solver is exact: it prunes only
+by forward checking, unit propagation and the interchangeability of unused
+colors, never by a heuristic cut-off.  It orders vertices by fewest
+remaining colors (DSatur) and keeps its state on explicit stacks.  The
+circulants, exists_coloring and chromatic_number are an exact oracle for
+the tests, not part of any certificate; every coloring exists_coloring
+emits is re-checked against the adjacency lists.
 """
 
 from dataclasses import dataclass

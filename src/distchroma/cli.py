@@ -16,7 +16,7 @@ from math import gcd
 
 from .errors import CertificationError, InvalidInputError, QuotientLoopsError
 from .intmat import build_heuberger_matrix, collapse_rows, hermite_reduce_step
-from .periodic import certify, find_periodic_coloring, word_is_proper
+from .periodic import certify, find_periodic_coloring, lower_bound, word_is_proper
 from .zhu import (
     ChiBranch,
     DistanceTriple,
@@ -140,6 +140,12 @@ def _note_normalization(args, t: DistanceTriple) -> None:
         )
 
 
+def _error_code(exc: Exception) -> int:
+    """Report a library error on one line: exit 2 for invalid input, else 1."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2 if isinstance(exc, InvalidInputError) else 1
+
+
 def _cmd_chi(args) -> int:
     t = _normalized_or_none(args)
     if t is None:
@@ -147,12 +153,8 @@ def _cmd_chi(args) -> int:
     if args.json:
         try:
             cert = certify(t)
-        except InvalidInputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except CertificationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        except (InvalidInputError, CertificationError) as exc:
+            return _error_code(exc)
         print(json.dumps(cert.to_json_dict(), indent=2))
         return 0
     _note_normalization(args, t)
@@ -172,16 +174,19 @@ def _cmd_color(args) -> int:
         return 2
     _note_normalization(args, t)
     try:
+        if k < chi:
+            lower = lower_bound(t, k)
+            length = "" if lower.length is None else f" with L = {lower.length}"
+            print(
+                f"no {k}-coloring: {lower.kind} lower bound{length} (chromatic number is {chi})",
+                file=sys.stderr,
+            )
+            return 1
         pc = find_periodic_coloring(t, k)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (InvalidInputError, CertificationError) as exc:
+        return _error_code(exc)
     if pc is None:
-        print(
-            f"no periodic {k}-coloring with period <= {t.b + t.c} "
-            f"(chromatic number is {chi})",
-            file=sys.stderr,
-        )
+        print(f"error: no rotation {k}-coloring word with period <= {t.b + t.c}", file=sys.stderr)
         return 1
     print(f"period {pc.period}")
     print(" ".join(str(color) for color in pc.colors))

@@ -9,27 +9,27 @@ cycle Z_m into k arcs.  The word is proper exactly when every distance s
 moves j*x at least one full arc, that is
 ceil(m/k) <= (j*s mod m) <= m - ceil(m/k), an O(1) test per pair (m, j).
 
-The search for (m, j) has three steps.  Every modulus up to
+The search for (m, j) has two steps.  Every modulus up to
 SMALL_MODULUS_LIMIT is scanned with every multiplier.  Beyond it only the
 row-collapse moduli |s - t| and s + t of two distances are tried: there two
 distances coincide up to sign, two window constraints are left, and a
 Euclid-style descent finds a multiplier in O(log m) or proves there is
-none.  Only when both miss does an exact search over the circulants on
-every loop-free Z_m with m <= b + c run; their colorings pull back along
-reduction mod m, and that search is also what proves no periodic coloring
-exists below the chromatic number.  No word longer than MAX_WORD_LENGTH is
-ever built.
+none.  No search over colorings runs, and no word longer than
+MAX_WORD_LENGTH is ever built.
 
 A certificate bundles the classification answer with re-verified witnesses
-in both directions: a periodic coloring for the upper bound, and a parity
-argument or an exhaustively uncolorable segment for the lower bound.
+in both directions: a periodic coloring for the upper bound, and, from
+lower_bound, an edge, a parity argument or an exhaustively uncolorable
+segment for the lower bound.  The same lower bound refutes any number of
+colors below the chromatic number.
 """
 
 from dataclasses import dataclass
 from math import gcd
 from operator import ne
 
-from .circulant import backtrack_coloring, exists_coloring, make_circulant
+from .circulant import backtrack_coloring
+from .circulant import exists_coloring  # not called; perfbench --trace 1 rebinds it here
 from .errors import CertificationError, InvalidInputError
 from .zhu import ChiBranch, DistanceTriple, chi_formula, is_bipartite
 
@@ -46,9 +46,9 @@ SEGMENT_CAP_FACTOR = 6
 # the first word in (m, j) order; past it only the collapse moduli are tried.
 SMALL_MODULUS_LIMIT = 64
 
-# Longest color word the constructor builds.  A longer period is refused
-# with InvalidInputError before any memory is allocated for it, and so is an
-# exact search that would have to reach past it.
+# Longest color word the constructor builds, and longest segment 0..L the
+# lower bound refutes.  Anything longer is refused with InvalidInputError
+# before any memory is allocated for it.
 MAX_WORD_LENGTH = 10**6
 
 
@@ -120,27 +120,21 @@ class ChiCertificate:
 
 
 def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | None":
-    """A periodic k-coloring with period at most b + c, or None.
+    """A rotation k-coloring word with period at most b + c, or None.
 
-    Rotation words are tried in three steps, and the first proper one is
-    returned:
+    The first proper word x -> floor(k * (j*x mod m) / m) is returned from:
 
     1. every modulus m = 2 .. min(b + c, SMALL_MODULUS_LIMIT) with every
        multiplier j = 1 .. m - 1, in that order;
     2. the distinct collapse moduli |s - t| and s + t of two distances that
        lie above SMALL_MODULUS_LIMIT and at most b + c, in ascending order,
-       each decided in O(log m) by _collapse_multiplier;
-    3. only after both miss, the circulants on every loop-free Z_m with
-       m <= b + c are searched exactly, in ascending order.  A proper
-       coloring of the circulant with connection set {a, b, c} pulls back
-       to a proper coloring of the integers with period m, so any result is
-       sound, and None means that no periodic k-coloring with period at
-       most b + c exists, which for k below the chromatic number is
-       guaranteed.
+       each decided in O(log m) by _collapse_multiplier.
+
+    Below the chromatic number the result is None, and lower_bound proves
+    why; at or above it, no triple is known to give None.
 
     Raises InvalidInputError, naming the triple and the period, when the
-    word found is longer than MAX_WORD_LENGTH, or when step 3 would have to
-    search periods beyond it.
+    word found is longer than MAX_WORD_LENGTH.
     """
     if k < 1:
         return None
@@ -164,16 +158,6 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
         j = _collapse_multiplier(m, k, folded[0], folded[-1])
         if j is not None:
             return _rotation_word(t, m, j, k)
-    if bound > MAX_WORD_LENGTH:
-        raise InvalidInputError(
-            f"no rotation {k}-coloring word found for {t.distances()}, and an "
-            f"exact search up to period {bound} exceeds MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
-        )
-    for m in range(2, bound + 1):
-        if a % m and b % m and c % m:
-            witness = exists_coloring(make_circulant(m, [a, b, c]), k)
-            if witness is not None:
-                return PeriodicColoring(m, witness.colors, k, m)
     return None
 
 
@@ -314,45 +298,53 @@ def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
     return backtrack_coloring(adjacency, k) is not None
 
 
+def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
+    """The witness that the triple's graph has no proper k-coloring, for
+    1 <= k < chi: an edge, parity, or the first uncolorable segment 0..L
+    for L = b + c, doubling up to SEGMENT_CAP_FACTOR * (b + c).
+
+    Raises CertificationError when the witness fails, which for k < chi
+    would contradict the classification, and InvalidInputError for k
+    outside 1..3 or a segment longer than MAX_WORD_LENGTH.
+    """
+    if k == 1:
+        return LowerBound(LOWER_TRIVIAL)
+    if k == 2:
+        if is_bipartite(t):
+            raise CertificationError(f"parity lower bound unsound for {t.distances()}")
+        return LowerBound(LOWER_PARITY)
+    if k != 3:
+        raise InvalidInputError(f"no lower-bound witness for {k} colors")
+    cap = SEGMENT_CAP_FACTOR * (t.b + t.c)
+    length = t.b + t.c
+    while length <= MAX_WORD_LENGTH:
+        if not segment_colorable(t, length, k):
+            return LowerBound(LOWER_SEGMENT, length)
+        if length >= cap:
+            raise CertificationError(f"no uncolorable segment up to {cap} for {t.distances()}")
+        length = min(2 * length, cap)
+    raise InvalidInputError(
+        f"segment stage for {t.distances()}: L = {length} exceeds "
+        f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
+    )
+
+
 def certify(t: DistanceTriple) -> ChiCertificate:
     """Classify the triple and wrap the answer in re-verified witnesses.
 
-    The upper witness is a periodic chi-coloring with period at most
-    b + c; the lower witness rules out chi - 1 colors (trivially for
-    chi = 2, by parity for chi = 3, by an uncolorable segment for
-    chi = 4).  Failure of either search would contradict the
-    classification, so it raises CertificationError rather than degrade.
+    The upper witness is a rotation chi-coloring word with period at most
+    b + c; the lower witness is lower_bound(t, chi - 1).  Failure of either
+    would contradict the classification, so it raises CertificationError
+    rather than degrade.
     """
     chi, branch = chi_formula(t)
-    a, b, c = t.distances()
-
     upper = find_periodic_coloring(t, chi)
-    if upper is None or upper.period > b + c:
+    if upper is None or upper.period > t.b + t.c:
         raise CertificationError(
-            f"no periodic {chi}-coloring with period <= {b + c} for {t.distances()}"
+            f"no periodic {chi}-coloring with period <= {t.b + t.c} for {t.distances()}"
         )
     if not verify_periodic(t, upper):
         raise CertificationError(
             f"periodic coloring failed re-verification for {t.distances()}"
         )
-
-    if chi == 2:
-        lower = LowerBound(LOWER_TRIVIAL)
-    elif chi == 3:
-        if is_bipartite(t):
-            raise CertificationError(
-                f"parity lower bound unsound for {t.distances()}"
-            )
-        lower = LowerBound(LOWER_PARITY)
-    else:
-        cap = SEGMENT_CAP_FACTOR * (b + c)
-        length = b + c
-        while segment_colorable(t, length, chi - 1):
-            if length >= cap:
-                raise CertificationError(
-                    f"no uncolorable segment up to {cap} for {t.distances()}"
-                )
-            length = min(2 * length, cap)
-        lower = LowerBound(LOWER_SEGMENT, length)
-
-    return ChiCertificate(t, chi, branch, upper, lower)
+    return ChiCertificate(t, chi, branch, upper, lower_bound(t, chi - 1))

@@ -47,13 +47,9 @@ def test_chi_json_huge_distance(capsys):
     assert (payload["chi"], payload["period"]) == (3, 9)
 
 
-def test_chi_json_collapse_modulus(capsys, monkeypatch):
+def test_chi_json_collapse_modulus(capsys):
     # The first word of (1, 3^8, 2 * 3^8) has period b + c = 3^9, found at
-    # that collapse modulus without any search.
-    def no_search(*args):
-        raise AssertionError("exact circulant search reached")
-
-    monkeypatch.setattr("distchroma.periodic.exists_coloring", no_search)
+    # that collapse modulus.
     assert main(["chi", "1", "6561", "13122", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["chi"], payload["period"]) == (3, 19683)
@@ -79,6 +75,16 @@ def test_chi_json_long_segment(capsys, distances, length):
     assert (payload["chi"], payload["lower"]) == (4, {"type": "segment", "L": length})
 
 
+def test_chi_json_segment_envelope(capsys, monkeypatch):
+    # The segment that refutes three colors for (1, 2, 999) has L = 1001.
+    monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 1000)
+    assert main(["chi", "1", "2", "999", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: segment") and "L = 1001" in line
+
+
 # --------------------------------------------------------------- color
 
 def test_color_golden(capsys):
@@ -96,16 +102,25 @@ def test_color_period_does_not_grow_with_distance(capsys):
     assert capsys.readouterr().out.splitlines() == ["period 4", "0 1 2 3"]
 
 
-def test_color_below_chromatic_number_fails(capsys):
-    assert main(["color", "1", "2", "3", "--k", "3"]) == 1
-    assert "chromatic number is 4" in capsys.readouterr().err
-
-
-def test_color_below_chromatic_number_large_distance(capsys):
-    # No word exists, so the exact search over every period up to 1001
-    # refutes three colors.
-    assert main(["color", "1", "2", "999", "--k", "3"]) == 1
-    assert "chromatic number is 4" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "distances, k, chi, kind",
+    [
+        ((1, 2, 3), 3, 4, "segment"),
+        ((1, 3, 10**12), 1, 3, "trivial"),
+        ((1, 2, 10**12), 2, 3, "parity"),
+        ((1, 2, 999), 3, 4, "segment"),
+        ((2, 499, 501), 3, 4, "segment"),
+    ],
+    ids=["1-2-3-k3", "1-3-1e12-k1", "1-2-1e12-k2", "1-2-999-k3", "2-499-501-k3"],
+)
+def test_color_below_chromatic_number(capsys, distances, k, chi, kind):
+    # Below the chromatic number the lower-bound witness decides, whatever
+    # the size of the distances.
+    assert main(["color", *map(str, distances), "--k", str(k)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"chromatic number is {chi}" in captured.err
+    assert kind in captured.err
 
 
 def test_color_invalid_k(capsys):

@@ -18,6 +18,7 @@ from distchroma.periodic import (
     _least_multiple_in,
     certify,
     find_periodic_coloring,
+    lower_bound,
     segment_colorable,
     verify_periodic,
     word_is_proper,
@@ -48,16 +49,10 @@ def test_rotation_word_golden():
     assert (pc.period, pc.colors) == (7, (0, 1, 3, 1, 2, 0, 2))
 
 
-def no_search(*args):
-    raise AssertionError("exact circulant search reached")
-
-
-def test_rotation_word_found_without_search(monkeypatch):
+def test_rotation_word_found_without_search():
     # Every coprime triple up to c = 60 has a rotation word with period
     # <= b + c at the chromatic number and one color above it, found at a
-    # small modulus or a collapse modulus, so the exact search is never
-    # reached.
-    monkeypatch.setattr("distchroma.periodic.exists_coloring", no_search)
+    # small modulus or a collapse modulus.
     for t in iter_triples(60):
         chi, _ = chi_formula(t)
         for k in (chi, chi + 1):
@@ -67,10 +62,9 @@ def test_rotation_word_found_without_search(monkeypatch):
             assert word_is_proper(t.distances(), pc.colors)
 
 
-def test_rotation_word_at_collapse_modulus(monkeypatch):
+def test_rotation_word_at_collapse_modulus():
     # No modulus up to 64 admits a 3-coloring word; the collapse modulus
     # b + c = 69 = 3 * 23 does, though no distance is a unit mod 69.
-    monkeypatch.setattr("distchroma.periodic.exists_coloring", no_search)
     t = normalize_triple(3, 23, 46)
     pc = find_periodic_coloring(t, 3)
     assert pc.period == 69
@@ -123,9 +117,32 @@ def test_word_envelope(monkeypatch):
     # the first word of (1, 3, 4) has period 7
     with pytest.raises(InvalidInputError, match=r"\(1, 3, 4\) has period 7"):
         find_periodic_coloring(normalize_triple(1, 3, 4), 4)
-    # refuting three colors for (1, 2, 6) would search periods up to 8
-    with pytest.raises(InvalidInputError, match=r"\(1, 2, 6\).*period 8"):
-        find_periodic_coloring(normalize_triple(1, 2, 6), 3)
+
+
+@st.composite
+def large_triples(draw):
+    # Free triples, and the shapes whose words sit at a collapse modulus:
+    # (x, y, x + y) and (x, y, 2y), as in (1, 3^n, 2 * 3^n).
+    x = draw(st.integers(1, 5 * 10**11))
+    y = draw(st.integers(1, 5 * 10**11))
+    z = draw(st.sampled_from([None, x + y, 2 * y]))
+    return normalize_triple(x, y, draw(st.integers(1, 10**12)) if z is None else z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_triples())
+def test_rotation_word_found_for_large_triples(t):
+    # Without an exact search behind it, the word constructor must find a
+    # word at the chromatic number for every triple, or refuse it as too long.
+    chi, _ = chi_formula(t)
+    try:
+        pc = find_periodic_coloring(t, chi)
+    except InvalidInputError as exc:
+        assert "MAX_WORD_LENGTH" in str(exc)
+        return
+    assert pc is not None
+    assert 2 <= pc.period <= t.b + t.c
+    assert word_is_proper(t.distances(), pc.colors)
 
 
 def test_find_periodic_coloring_fails_below_chromatic_number():
@@ -228,6 +245,35 @@ def test_segment_monotone_in_k(t):
     length = t.b + t.c
     if segment_colorable(t, length, chi - 1):
         assert segment_colorable(t, length, chi)
+
+
+# --------------------------------------------------------- lower bounds
+
+def test_lower_bound_kinds():
+    t = normalize_triple(1, 2, 3)
+    assert lower_bound(t, 1).kind == LOWER_TRIVIAL
+    assert lower_bound(t, 2).kind == LOWER_PARITY
+    assert lower_bound(t, 3) == type(lower_bound(t, 1))(LOWER_SEGMENT, 5)
+
+
+def test_lower_bound_is_the_certificate_lower_bound():
+    for t in iter_triples(12):
+        chi, _ = chi_formula(t)
+        assert certify(t).lower == lower_bound(t, chi - 1)
+
+
+def test_lower_bound_refuses_unsound_witnesses():
+    with pytest.raises(CertificationError):
+        lower_bound(normalize_triple(1, 3, 5), 2)  # all odd: 2-colorable
+    with pytest.raises(InvalidInputError):
+        lower_bound(normalize_triple(1, 2, 3), 4)
+
+
+def test_segment_envelope(monkeypatch):
+    # The segment that refutes three colors for (1, 2, 999) has L = 1001.
+    monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 1000)
+    with pytest.raises(InvalidInputError, match=r"segment.*\(1, 2, 999\).*L = 1001"):
+        certify(normalize_triple(1, 2, 999))
 
 
 # --------------------------------------------------------- certificates
