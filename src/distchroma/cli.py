@@ -2,7 +2,9 @@
 traces, and the sweep harness.
 
 Exit codes are a stable contract: 0 success, 1 a verification or
-consistency failure, 2 invalid input.
+consistency failure, 2 invalid input.  ``main`` is the one place that maps
+library errors to exit codes: ``InvalidInputError`` exits 2 and
+``CertificationError`` exits 1, each with one ``error:`` line on stderr.
 """
 
 import argparse
@@ -11,7 +13,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from math import gcd
 
 from .errors import CertificationError, InvalidInputError, QuotientLoopsError
@@ -32,14 +34,12 @@ BRANCH_TEXT = {
     ChiBranch.OTHERWISE: "otherwise",
 }
 
-CSV_FIELDS = ["a", "b", "c", "chi_formula", "chi_certified", "period", "ees_bound", "agree"]
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep result: the classification value against the certified
     one, the certified period, and the generic q*k^q period bound
-    (q = max distance, k = chi) for contrast."""
+    (q = max distance, k = chi) for contrast.  The fields, in order, are
+    the sweep's CSV columns and JSON keys."""
 
     a: int
     b: int
@@ -49,34 +49,6 @@ class SweepRow:
     period: "int | None"
     ees_bound: int
     agree: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "chi_formula": self.chi_formula,
-            "chi_certified": self.chi_certified,
-            "period": self.period,
-            "ees_bound": self.ees_bound,
-            "agree": self.agree,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SweepRow":
-        return cls(**{key: data[key] for key in CSV_FIELDS})
-
-    def to_csv_values(self) -> list:
-        return [
-            self.a,
-            self.b,
-            self.c,
-            self.chi_formula,
-            "" if self.chi_certified is None else self.chi_certified,
-            "" if self.period is None else self.period,
-            self.ees_bound,
-            "true" if self.agree else "false",
-        ]
 
 
 def iter_triples(max_c: int):
@@ -112,27 +84,6 @@ def sweep_rows(max_c: int) -> list[SweepRow]:
     return rows
 
 
-def format_rows_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for row in rows:
-        writer.writerow(row.to_csv_values())
-    return buf.getvalue()
-
-
-def format_rows_json(rows: list[SweepRow]) -> str:
-    return json.dumps([row.to_json_dict() for row in rows], indent=2) + "\n"
-
-
-def _normalized_or_none(args) -> "DistanceTriple | None":
-    try:
-        return normalize_triple(args.a, args.b, args.c)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def _note_normalization(args, t: DistanceTriple) -> None:
     if t.scale > 1:
         print(
@@ -147,15 +98,9 @@ def _error_code(exc: Exception) -> int:
 
 
 def _cmd_chi(args) -> int:
-    t = _normalized_or_none(args)
-    if t is None:
-        return 2
+    t = normalize_triple(args.a, args.b, args.c)
     if args.json:
-        try:
-            cert = certify(t)
-        except (InvalidInputError, CertificationError) as exc:
-            return _error_code(exc)
-        print(json.dumps(cert.to_json_dict(), indent=2))
+        print(json.dumps(certify(t).to_json_dict(), indent=2))
         return 0
     _note_normalization(args, t)
     chi, branch = chi_formula(t)
@@ -164,27 +109,22 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    t = _normalized_or_none(args)
-    if t is None:
-        return 2
+    t = normalize_triple(args.a, args.b, args.c)
     chi, _ = chi_formula(t)
     k = chi if args.k is None else args.k
     if k < 1:
         print("error: number of colors must be positive", file=sys.stderr)
         return 2
     _note_normalization(args, t)
-    try:
-        if k < chi:
-            lower = lower_bound(t, k)
-            length = "" if lower.length is None else f" with L = {lower.length}"
-            print(
-                f"no {k}-coloring: {lower.kind} lower bound{length} (chromatic number is {chi})",
-                file=sys.stderr,
-            )
-            return 1
-        pc = find_periodic_coloring(t, k)
-    except (InvalidInputError, CertificationError) as exc:
-        return _error_code(exc)
+    if k < chi:
+        lower = lower_bound(t, k)
+        length = "" if lower.length is None else f" with L = {lower.length}"
+        print(
+            f"no {k}-coloring: {lower.kind} lower bound{length} (chromatic number is {chi})",
+            file=sys.stderr,
+        )
+        return 1
+    pc = find_periodic_coloring(t, k)
     if pc is None:
         print(f"error: no rotation {k}-coloring word with period <= {t.b + t.c}", file=sys.stderr)
         return 1
@@ -233,9 +173,7 @@ def _print_stage(stage: str, matrix) -> None:
 
 
 def _cmd_matrix(args) -> int:
-    t = _normalized_or_none(args)
-    if t is None:
-        return 2
+    t = normalize_triple(args.a, args.b, args.c)
     _note_normalization(args, t)
     a1, a2, a3 = orient_for_matrix(t)
     print(f"oriented: ({a1}, {a2}, {a3})")
@@ -277,7 +215,16 @@ def _cmd_sweep(args) -> int:
         print("error: --max must be positive", file=sys.stderr)
         return 2
     rows = sweep_rows(args.max)
-    payload = format_rows_json(rows) if args.format == "json" else format_rows_csv(rows)
+    if args.format == "json":
+        payload = json.dumps([asdict(row) for row in rows], indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(field.name for field in fields(SweepRow))
+        for row in rows:
+            # csv writes None as an empty cell; agree is spelled true/false.
+            writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in astuple(row))
+        payload = buf.getvalue()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -341,7 +288,10 @@ def _add_triple(sub_parser: argparse.ArgumentParser) -> None:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InvalidInputError, CertificationError) as exc:
+        return _error_code(exc)
 
 
 if __name__ == "__main__":

@@ -16,21 +16,6 @@ from math import gcd
 from .errors import InvalidInputError, QuotientLoopsError
 
 
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    # Iterative extended Euclid; returns some (u, v) with x*u + y*v = gcd > 0.
-    r0, r1 = x, y
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0 < 0:
-        s0, t0 = -s0, -t0
-    return s0, t0
-
-
 def egcd(x: int, y: int) -> tuple[int, int, int]:
     """Extended gcd with a canonical coefficient pair.
 
@@ -44,9 +29,9 @@ def egcd(x: int, y: int) -> tuple[int, int, int]:
     if x == 0:
         return (abs(y), 0, 1 if y > 0 else -1)
     g = gcd(x, y)
-    _, v = _bezout(x, y)
     m = abs(x) // g
-    v %= m
+    # x*u + y*v == g needs (y/g)*v == 1 modulo |x|/g.
+    v = pow(y // g, -1, m)
     if 2 * v > m:
         v -= m
     return (g, (g - y * v) // x, v)

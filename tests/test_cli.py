@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
-from distchroma.cli import SweepRow, format_rows_csv, iter_triples, main, sweep_rows
+from distchroma.cli import iter_triples, main, sweep_rows
+from distchroma.errors import InvalidInputError
 from distchroma.periodic import ChiCertificate, certify
 from distchroma.zhu import normalize_triple
 
@@ -205,8 +208,35 @@ def test_sweep_desk_scale(capsys):
 
 def test_sweep_json_round_trips(capsys):
     assert main(["sweep", "--max", "4", "--format", "json"]) == 0
-    rows = [SweepRow.from_json_dict(d) for d in json.loads(capsys.readouterr().out)]
-    assert rows == sweep_rows(4)
+    assert json.loads(capsys.readouterr().out) == [asdict(r) for r in sweep_rows(4)]
+
+
+@pytest.mark.parametrize(
+    "extra, lines, digest",
+    [
+        ([], 288, "8589a61356616fad9d06f80fab6e55b18cb34f81367b53dba23dcb2fb8a8157e"),
+        (["--format", "json"], None, "44a2f6a2f52410586bf426100e09949cbe291be5382f00ddf2057a3e7b45bb25"),
+    ],
+)
+def test_sweep_table_golden(capsys, extra, lines, digest):
+    # The whole table, byte for byte: column order, cell spelling, JSON layout.
+    assert main(["sweep", "--max", "12", *extra]) == 0
+    out = capsys.readouterr().out
+    if lines is not None:
+        assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_invalid_input_exits_2(capsys, monkeypatch):
+    def refuse(t):
+        raise InvalidInputError(f"refused {t.distances()}")
+
+    monkeypatch.setattr("distchroma.cli.certify", refuse)
+    assert main(["sweep", "--max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
 
 
 def test_sweep_writes_file(tmp_path, capsys):
@@ -237,7 +267,6 @@ def test_iter_triples_excludes_common_factors():
     assert listed == [(1, 1, 1), (1, 1, 2), (1, 2, 2)]
 
 
-def test_csv_formatting_is_stable():
-    rows = sweep_rows(2)
-    text = format_rows_csv(rows)
-    assert text.splitlines()[1] == "1,1,1,2,2,2,2,true"
+def test_csv_formatting_is_stable(capsys):
+    assert main(["sweep", "--max", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1,1,1,2,2,2,2,true"
