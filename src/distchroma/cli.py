@@ -2,9 +2,10 @@
 traces, and the sweep harness.
 
 Exit codes are a stable contract: 0 success, 1 a verification or
-consistency failure, 2 invalid input.  ``main`` is the one place that maps
-library errors to exit codes: ``InvalidInputError`` exits 2 and
-``CertificationError`` exits 1, each with one ``error:`` line on stderr.
+consistency failure, 2 invalid input.  Subcommands raise on failure and never
+print ``error:`` themselves; ``main`` is the one place that maps errors to
+exit codes: ``InvalidInputError`` exits 2 and ``CertificationError`` exits
+1, each with one ``error:`` line on stderr.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from math import gcd
 
 from .errors import CertificationError, InvalidInputError, QuotientLoopsError
-from .intmat import build_heuberger_matrix, collapse_rows, hermite_reduce_step
+from .intmat import COLLAPSE_MOVES, build_heuberger_matrix, collapse_rows, hermite_reduce_step
 from .periodic import certify, find_periodic_coloring, lower_bound, word_is_proper
 from .zhu import (
     ChiBranch,
@@ -91,12 +92,6 @@ def _note_normalization(args, t: DistanceTriple) -> None:
         )
 
 
-def _error_code(exc: Exception) -> int:
-    """Report a library error on one line: exit 2 for invalid input, else 1."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 2 if isinstance(exc, InvalidInputError) else 1
-
-
 def _cmd_chi(args) -> int:
     t = normalize_triple(args.a, args.b, args.c)
     if args.json:
@@ -112,12 +107,10 @@ def _cmd_color(args) -> int:
     t = normalize_triple(args.a, args.b, args.c)
     chi, _ = chi_formula(t)
     k = chi if args.k is None else args.k
-    if k < 1:
-        print("error: number of colors must be positive", file=sys.stderr)
-        return 2
+    # lower_bound refuses k < 1, before the normalization line is printed.
+    lower = lower_bound(t, k) if k < chi else None
     _note_normalization(args, t)
-    if k < chi:
-        lower = lower_bound(t, k)
+    if lower is not None:
         length = "" if lower.length is None else f" with L = {lower.length}"
         print(
             f"no {k}-coloring: {lower.kind} lower bound{length} (chromatic number is {chi})",
@@ -126,8 +119,7 @@ def _cmd_color(args) -> int:
         return 1
     pc = find_periodic_coloring(t, k)
     if pc is None:
-        print(f"error: no rotation {k}-coloring word with period <= {t.b + t.c}", file=sys.stderr)
-        return 1
+        raise CertificationError(f"no rotation {k}-coloring word with period <= {t.b + t.c}")
     print(f"period {pc.period}")
     print(" ".join(str(color) for color in pc.colors))
     return 0
@@ -137,21 +129,15 @@ def _cmd_verify(args) -> int:
     # The word is checked against the distances exactly as given; scaled
     # inputs have different edges than their normalized form.
     if min(args.a, args.b, args.c) < 1:
-        print("error: distances must be positive integers", file=sys.stderr)
-        return 2
+        raise InvalidInputError("distances must be positive integers")
     if args.period < 1:
-        print("error: period must be positive", file=sys.stderr)
-        return 2
+        raise InvalidInputError("period must be positive")
     try:
         colors = tuple(int(part) for part in args.colors.split(","))
     except ValueError:
-        print("error: --colors must be a comma-separated list of integers", file=sys.stderr)
-        return 2
+        raise InvalidInputError("--colors must be a comma-separated list of integers") from None
     if len(colors) != args.period:
-        print(
-            f"error: expected {args.period} colors, got {len(colors)}", file=sys.stderr
-        )
-        return 2
+        raise InvalidInputError(f"expected {args.period} colors, got {len(colors)}")
     if word_is_proper((args.a, args.b, args.c), colors):
         print("proper")
         return 0
@@ -186,21 +172,19 @@ def _cmd_matrix(args) -> int:
     print(f"M1: {_fmt_matrix(reduced)}")
     if args.steps:
         _print_stage("reduce", reduced)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for sign in (-1, 1):
-                try:
-                    quotient = collapse_rows(m, i, j, sign)
-                except QuotientLoopsError as exc:
-                    print(f"collapse rows ({i},{j}) sign {sign:+d}: rejected ({exc})")
-                    continue
-                conn = ",".join(str(v) for v in quotient.label)
-                print(
-                    f"collapse rows ({i},{j}) sign {sign:+d}: "
-                    f"C_{quotient.modulus}({conn})  {_fmt_matrix(quotient)}"
-                )
-                if args.steps:
-                    _print_stage(f"collapse({i},{j},{sign:+d})", quotient)
+    for i, j, sign in COLLAPSE_MOVES:
+        try:
+            quotient = collapse_rows(m, i, j, sign)
+        except QuotientLoopsError as exc:
+            print(f"collapse rows ({i},{j}) sign {sign:+d}: rejected ({exc})")
+            continue
+        conn = ",".join(str(v) for v in quotient.label)
+        print(
+            f"collapse rows ({i},{j}) sign {sign:+d}: "
+            f"C_{quotient.modulus}({conn})  {_fmt_matrix(quotient)}"
+        )
+        if args.steps:
+            _print_stage(f"collapse({i},{j},{sign:+d})", quotient)
     return 0
 
 
@@ -212,8 +196,7 @@ def _fmt_matrix(m) -> str:
 
 def _cmd_sweep(args) -> int:
     if args.max < 1:
-        print("error: --max must be positive", file=sys.stderr)
-        return 2
+        raise InvalidInputError("--max must be positive")
     rows = sweep_rows(args.max)
     if args.format == "json":
         payload = json.dumps([asdict(row) for row in rows], indent=2) + "\n"
@@ -230,8 +213,7 @@ def _cmd_sweep(args) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+            raise InvalidInputError(f"cannot write {args.out}: {exc}") from None
     else:
         print(payload, end="")
     return 0 if all(row.agree for row in rows) else 1
@@ -291,7 +273,8 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.func(args)
     except (InvalidInputError, CertificationError) as exc:
-        return _error_code(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, InvalidInputError) else 1
 
 
 if __name__ == "__main__":

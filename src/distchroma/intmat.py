@@ -195,14 +195,18 @@ def collapse_rows(m: LabeledMatrix, i: int, j: int, sign: int) -> LabeledMatrix:
     return LabeledMatrix(tuple(rows), tuple(labels), n)
 
 
+# The six row collapses of a 3-row matrix as (i, j, sign): each row pair
+# i < j, subtracted then added.
+COLLAPSE_MOVES = ((0, 1, -1), (0, 1, 1), (0, 2, -1), (0, 2, 1), (1, 2, -1), (1, 2, 1))
+
+
 def admissible_collapses(m: LabeledMatrix) -> list[tuple[int, int, int, LabeledMatrix]]:
-    """Every loop-free row collapse of ``m`` as (i, j, sign, quotient)."""
+    """Every loop-free row collapse of ``m`` as (i, j, sign, quotient), in
+    COLLAPSE_MOVES order."""
     found = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for sign in (-1, 1):
-                try:
-                    found.append((i, j, sign, collapse_rows(m, i, j, sign)))
-                except QuotientLoopsError:
-                    continue
+    for i, j, sign in COLLAPSE_MOVES:
+        try:
+            found.append((i, j, sign, collapse_rows(m, i, j, sign)))
+        except QuotientLoopsError:
+            continue
     return found

@@ -273,11 +273,13 @@ def verify_periodic(t: DistanceTriple, pc: PeriodicColoring) -> bool:
     One period suffices: vertices n and n + s collide exactly when the
     residues i and (i + s) mod p do.  A distance divisible by the period
     compares a color with itself and fails, so loop-freeness needs no
-    separate check.
+    separate check.  The colors must lie in [0, k): a word that uses more
+    colors than it claims proves nothing about k.
     """
-    if len(pc.colors) != pc.period or pc.period < 1:
+    colors = pc.colors
+    if len(colors) != pc.period or not colors or min(colors) < 0 or max(colors) >= pc.k:
         return False
-    return word_is_proper(t.distances(), pc.colors)
+    return word_is_proper(t.distances(), colors)
 
 
 def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
@@ -307,6 +309,8 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
     would contradict the classification, and InvalidInputError for k
     outside 1..3 or a segment longer than MAX_WORD_LENGTH.
     """
+    if k < 1:
+        raise InvalidInputError("number of colors must be positive")
     if k == 1:
         return LowerBound(LOWER_TRIVIAL)
     if k == 2:

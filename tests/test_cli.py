@@ -12,6 +12,14 @@ from distchroma.periodic import ChiCertificate, certify
 from distchroma.zhu import normalize_triple
 
 
+def refusal(capsys) -> str:
+    """The one stderr line of a run that printed nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    return line
+
+
 # ----------------------------------------------------------------- chi
 
 def test_chi_all_odd(capsys):
@@ -128,6 +136,34 @@ def test_color_below_chromatic_number(capsys, distances, k, chi, kind):
 
 def test_color_invalid_k(capsys):
     assert main(["color", "1", "2", "3", "--k", "0"]) == 2
+    assert refusal(capsys) == "error: number of colors must be positive"
+
+
+@pytest.mark.parametrize(
+    "k, code, out, err",
+    [
+        ("0", 2, "", "error: number of colors must be positive"),
+        (
+            "3",
+            1,
+            "normalized (2, 4, 6) -> (1, 2, 3) with scale 2\n",
+            "no 3-coloring: segment lower bound with L = 5 (chromatic number is 4)",
+        ),
+    ],
+)
+def test_color_scaled_k_below_chi(capsys, k, code, out, err):
+    # An invalid k is refused before the normalization line; a valid k
+    # below the chromatic number is refuted after it.
+    assert main(["color", "2", "4", "6", "--k", k]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err.splitlines() == [err]
+
+
+def test_color_missing_word_is_a_certification_failure(capsys, monkeypatch):
+    monkeypatch.setattr("distchroma.cli.find_periodic_coloring", lambda t, k: None)
+    assert main(["color", "1", "2", "4"]) == 1
+    assert refusal(capsys) == "error: no rotation 3-coloring word with period <= 6"
 
 
 # -------------------------------------------------------------- verify
@@ -144,10 +180,25 @@ def test_verify_improper(capsys):
 
 def test_verify_length_mismatch(capsys):
     assert main(["verify", "1", "2", "3", "--period", "4", "--colors", "0,1,2"]) == 2
+    assert refusal(capsys) == "error: expected 4 colors, got 3"
 
 
 def test_verify_malformed_colors(capsys):
     assert main(["verify", "1", "2", "3", "--period", "2", "--colors", "0,x"]) == 2
+    assert refusal(capsys) == "error: --colors must be a comma-separated list of integers"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["0", "2", "3", "--period", "2", "--colors", "0,1"], "distances must be positive integers"),
+        (["1", "2", "3", "--period", "0", "--colors", "0"], "period must be positive"),
+    ],
+    ids=["nonpositive-distance", "period-0"],
+)
+def test_verify_refuses_invalid_input(capsys, argv, err):
+    assert main(["verify", *argv]) == 2
+    assert refusal(capsys) == f"error: {err}"
 
 
 def test_verify_checks_raw_distances(capsys):
@@ -248,10 +299,12 @@ def test_sweep_writes_file(tmp_path, capsys):
 
 def test_sweep_unwritable_path(capsys):
     assert main(["sweep", "--max", "3", "--out", "/nonexistent-dir/rows.csv"]) == 2
+    assert refusal(capsys).startswith("error: cannot write /nonexistent-dir/rows.csv: ")
 
 
 def test_sweep_rejects_bad_max(capsys):
     assert main(["sweep", "--max", "0"]) == 2
+    assert refusal(capsys) == "error: --max must be positive"
 
 
 def test_sweep_known_row_values():

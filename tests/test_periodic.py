@@ -175,11 +175,22 @@ def test_verify_periodic_golden():
     assert verify_periodic(t, PeriodicColoring(4, (0, 1, 2, 3), 4, 4))
     # vertices 0 and 3 are three apart yet share color 0
     assert not verify_periodic(t, PeriodicColoring(5, (0, 1, 2, 0, 1), 3, 5))
+    # proper words that use colors outside [0, k) prove nothing about k
+    t = normalize_triple(1, 2, 4)
+    assert not verify_periodic(t, PeriodicColoring(5, (0, 1, 2, 3, 4), 3, 5))
+    t = normalize_triple(1, 3, 5)
+    assert not verify_periodic(t, PeriodicColoring(2, (-1, 0), 2, 2))
+    # (2, 3, 5) has chi = 4; its 4-color word must not certify chi = 3
+    data = certify(normalize_triple(2, 3, 5)).to_json_dict()
+    data.update(chi=3, branch=ChiBranch.OTHERWISE.value, lower={"type": "parity"})
+    forged = ChiCertificate.from_json_dict(data)
+    assert not verify_periodic(forged.triple, forged.upper)
 
 
 def test_verify_periodic_rejects_malformed_word():
     t = normalize_triple(1, 2, 3)
     assert not verify_periodic(t, PeriodicColoring(4, (0, 1, 2), 3, 4))
+    assert not verify_periodic(t, PeriodicColoring(0, (), 3, 0))
 
 
 def test_word_is_proper_distance_divisible_by_period():
@@ -267,6 +278,8 @@ def test_lower_bound_refuses_unsound_witnesses():
         lower_bound(normalize_triple(1, 3, 5), 2)  # all odd: 2-colorable
     with pytest.raises(InvalidInputError):
         lower_bound(normalize_triple(1, 2, 3), 4)
+    with pytest.raises(InvalidInputError, match="number of colors must be positive"):
+        lower_bound(normalize_triple(1, 2, 3), 0)
 
 
 def test_segment_envelope(monkeypatch):
