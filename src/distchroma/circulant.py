@@ -5,14 +5,14 @@ colored with one color fewer than the chromatic number; that exhausted
 search is the lower-bound witness, so the solver is exact: it prunes only
 by forward checking, unit propagation and the interchangeability of unused
 colors, never by a heuristic cut-off.  It orders vertices by fewest
-remaining colors (DSatur) and keeps its state on explicit stacks.  The
-circulants, exists_coloring and chromatic_number are an exact oracle for
-the tests, not part of any certificate; every coloring exists_coloring
-emits is re-checked against the adjacency lists.
+remaining colors (DSatur), with a scan that stops at min(k, 2) colors,
+the fewest unit propagation leaves, and keeps its state on explicit
+stacks.  The circulants, exists_coloring and chromatic_number are an
+exact oracle for the tests, not part of any certificate; every coloring
+exists_coloring emits is re-checked against the adjacency lists.
 """
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .errors import InvalidInputError, QuotientLoopsError
 
@@ -82,8 +82,9 @@ def backtrack_coloring(adjacency: list[list[int]], k: int) -> "list[int] | None"
     depth is bounded by memory, not by the interpreter's recursion limit.
 
     The next vertex to branch on has the fewest remaining colors, ties going
-    to the lowest index (DSatur); one heap per domain size finds it without
-    a scan.  Colors no vertex uses yet are interchangeable, so a branch tries
+    to the lowest index (DSatur).  An ascending scan stops at the first
+    uncolored vertex with min(k, 2) colors, as propagation leaves none with
+    fewer.  Colors no vertex uses yet are interchangeable, so a branch tries
     the colors in use and only the lowest unused one: vertex 0 gets color 0
     and no color permutation is searched twice.  Completeness is kept, so
     None means no proper k-coloring exists.
@@ -96,34 +97,32 @@ def backtrack_coloring(adjacency: list[list[int]], k: int) -> "list[int] | None"
     full = (1 << k) - 1
     domain = [full] * n
     colors = [-1] * n
-    # heaps[s] holds every uncolored vertex with s colors left, plus stale
-    # entries that are dropped when they reach the top.
-    heaps = [[] for _ in range(k + 1)]
-    heaps[k] = list(range(n))
     # Undo log: u * k + c for color c struck from u, ~v for v colored.
     trail = []
     used = 0  # bitmask of the colors placed so far
+    # Propagation colors or refutes every vertex left with fewer than
+    # min(k, 2) colors, so the scan stops at the first with that many.
+    floor = min(k, 2)
 
     def next_vertex() -> int:
-        for s in range(1, k + 1):
-            heap = heaps[s]
-            while heap:
-                v = heap[0]
-                if colors[v] < 0 and domain[v].bit_count() == s:
-                    return v
-                heappop(heap)
-        return -1
+        best, fewest = -1, k + 1
+        for v, color in enumerate(colors):
+            if color < 0:
+                left = domain[v].bit_count()
+                if left < fewest:
+                    best, fewest = v, left
+                    if left == floor:
+                        break
+        return best
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
             entry = trail.pop()
             if entry < 0:
-                v = ~entry
-                colors[v] = -1
+                colors[~entry] = -1
             else:
                 v, c = divmod(entry, k)
                 domain[v] |= 1 << c
-            heappush(heaps[domain[v].bit_count()], v)
 
     def propagate(vertex: int) -> bool:
         """Strike the colors of vertex, and of every vertex it forces, from
@@ -152,8 +151,6 @@ def backtrack_coloring(adjacency: list[list[int]], k: int) -> "list[int] | None"
                         colors[u] = d.bit_length() - 1
                         trail.append(~u)
                         pending.append(u)
-                    else:
-                        heappush(heaps[left], u)
         return True
 
     # Branch frames: [vertex, colors left to try, trail mark, colors in use].

@@ -273,11 +273,13 @@ def verify_periodic(t: DistanceTriple, pc: PeriodicColoring) -> bool:
     One period suffices: vertices n and n + s collide exactly when the
     residues i and (i + s) mod p do.  A distance divisible by the period
     compares a color with itself and fails, so loop-freeness needs no
-    separate check.  The colors must lie in [0, k): a word that uses more
-    colors than it claims proves nothing about k.
+    separate check.  k and the colors must be integers, the colors in
+    [0, k): a word with other colors than it claims proves nothing about k.
     """
-    colors = pc.colors
-    if len(colors) != pc.period or not colors or min(colors) < 0 or max(colors) >= pc.k:
+    colors, k = pc.colors, pc.k
+    if type(k) is not int or len(colors) != pc.period or not colors:
+        return False
+    if set(map(type, colors)) != {int} or min(colors) < 0 or max(colors) >= k:
         return False
     return word_is_proper(t.distances(), colors)
 

@@ -147,6 +147,34 @@ def test_backtrack_coloring_long_odd_cycle():
     assert all(found[v] != found[(v + 1) % n] for v in range(n))
 
 
+def segment_adjacency(distances, length):
+    adjacency = [[] for _ in range(length + 1)]
+    for v in range(length + 1):
+        for s in distances:
+            if v + s <= length:
+                adjacency[v].append(v + s)
+                adjacency[v + s].append(v)
+    return adjacency
+
+
+# First colorings found with DSatur order (fewest colors left, ties to the
+# lowest index).  Branching on the lowest uncolored index instead returns a
+# different coloring for each, so a change of vertex order shows here.
+@pytest.mark.parametrize(
+    "adjacency, k, expected",
+    [
+        (segment_adjacency((2, 5, 9), 14), 3,
+         [0, 1, 1, 0, 0, 1, 2, 0, 1, 1, 0, 0, 1, 2, 0]),
+        (segment_adjacency((1, 3, 4), 6), 4, [0, 1, 2, 1, 2, 0, 3]),
+        (make_circulant(13, [1, 5]).adjacency(), 4,
+         [0, 1, 0, 1, 2, 1, 2, 1, 2, 0, 2, 0, 3]),
+    ],
+    ids=["segment-2-5-9", "segment-1-3-4", "circulant-13"],
+)
+def test_backtrack_coloring_branching_order_golden(adjacency, k, expected):
+    assert backtrack_coloring(adjacency, k) == expected
+
+
 def test_exists_coloring_large_circulant():
     c = make_circulant(1500, [1, 2, 3])
     witness = exists_coloring(c, 4)

@@ -185,6 +185,26 @@ def test_verify_periodic_golden():
     data.update(chi=3, branch=ChiBranch.OTHERWISE.value, lower={"type": "parity"})
     forged = ChiCertificate.from_json_dict(data)
     assert not verify_periodic(forged.triple, forged.upper)
+    # k and the colors must be integers: a fractional word may not certify
+    # chi = 2 for (1, 2, 3), whose chi is 4, nor k = 2.5 a 3-word
+    t = normalize_triple(1, 2, 3)
+    assert not verify_periodic(t, PeriodicColoring(4, (0, 0.5, 1, 1.5), 2, 4))
+    data = certify(t).to_json_dict()
+    data.update(chi=2, branch=ChiBranch.ALL_ODD.value, lower={"type": "trivial"},
+                period=4, colors=[0, 0.5, 1, 1.5])
+    forged = ChiCertificate.from_json_dict(data)
+    assert not verify_periodic(forged.triple, forged.upper)
+    assert not verify_periodic(
+        normalize_triple(1, 2, 4), PeriodicColoring(3, (0, 1, 2), 2.5, 3)
+    )
+    t = normalize_triple(1, 3, 5)
+    assert not verify_periodic(t, PeriodicColoring(2, (0, 1), 2.0, 2))
+    assert not verify_periodic(t, PeriodicColoring(2, (0, 1), "2", 2))
+    assert not verify_periodic(t, PeriodicColoring(2, ("a", "b"), 2, 2))
+    data = certify(t).to_json_dict()
+    data.update(colors=["a", "b"])
+    forged = ChiCertificate.from_json_dict(data)
+    assert not verify_periodic(forged.triple, forged.upper)
 
 
 def test_verify_periodic_rejects_malformed_word():
