@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import CertificationError, InvalidInputError, QuotientLoopsError
 from .intmat import COLLAPSE_MOVES, build_heuberger_matrix, collapse_rows, hermite_reduce_step
-from .periodic import certify, find_periodic_coloring, lower_bound, word_is_proper
+from .periodic import certify, find_periodic_coloring, lower_bound, verify_periodic, word_is_proper
 from .zhu import (
     ChiBranch,
     DistanceTriple,
@@ -118,8 +118,11 @@ def _cmd_color(args) -> int:
         )
         return 1
     pc = find_periodic_coloring(t, k)
-    if pc is None:
-        raise CertificationError(f"no rotation {k}-coloring word with period <= {t.b + t.c}")
+    if pc is None or not verify_periodic(t, pc):
+        raise CertificationError(
+            f"no verified rotation {k}-coloring word with period <= {t.b + t.c} "
+            f"for {t.distances()}"
+        )
     print(f"period {pc.period}")
     print(" ".join(str(color) for color in pc.colors))
     return 0

@@ -11,40 +11,10 @@ here leaves the represented graph unchanged.  All arithmetic is exact.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .errors import InvalidInputError, QuotientLoopsError
-
-
-def egcd(x: int, y: int) -> tuple[int, int, int]:
-    """Extended gcd with a canonical coefficient pair.
-
-    Returns (g, u, v) with x*u + y*v == g == gcd(x, y) > 0.  The solution is
-    pinned deterministically: v is the least-absolute-value residue modulo
-    |x|/g (ties broken toward the positive representative) and u follows as
-    (g - y*v) // x.  With y == 0 this degenerates to (|x|, sign(x), 0).
-    """
-    if x == 0 and y == 0:
-        raise InvalidInputError("egcd(0, 0) is undefined")
-    if x == 0:
-        return (abs(y), 0, 1 if y > 0 else -1)
-    g = gcd(x, y)
-    m = abs(x) // g
-    # x*u + y*v == g needs (y/g)*v == 1 modulo |x|/g.
-    v = pow(y // g, -1, m)
-    if 2 * v > m:
-        v -= m
-    return (g, (g - y * v) // x, v)
-
-
-def solve_bezout(a1: int, a2: int, a3: int) -> tuple[int, int, int]:
-    """Solve a1*u + a2*v == a3*g for g = gcd(a1, a2).
-
-    The equation has infinitely many solutions; scaling the canonical
-    egcd coefficients by a3 picks one deterministically.  Returns (g, u, v).
-    """
-    g, u, v = egcd(a1, a2)
-    return (g, a3 * u, a3 * v)
 
 
 @dataclass(frozen=True)
@@ -54,8 +24,9 @@ class LabeledMatrix:
     ``entries`` holds 2 or 3 row tuples of width 1 or 2, ``label`` gives the
     group image of each row's generator, and ``modulus`` is 0 over the
     integers or n >= 2 over Z_n (labels then reduced into [0, n)).
-    Construction checks label annihilation: label . column == 0 modulo the
-    modulus for every column.
+    Construction requires every entry and label to be an int and checks
+    label annihilation: label . column == 0 modulo the modulus for every
+    column.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -63,10 +34,14 @@ class LabeledMatrix:
     modulus: int = 0
 
     def __post_init__(self):
-        entries = tuple(tuple(int(e) for e in row) for row in self.entries)
-        label = tuple(int(v) for v in self.label)
+        entries = tuple(map(tuple, self.entries))
+        label = tuple(self.label)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "label", label)
+        # Exact int types, as verify_periodic requires: a coerced 1.7 would
+        # pass the annihilation check as 1, and bool is an int subclass.
+        if any(type(x) is not int for x in chain(label, *entries)):
+            raise InvalidInputError("matrix entries and labels must be integers")
         if len(entries) not in (2, 3):
             raise InvalidInputError("matrix must have 2 or 3 rows")
         widths = {len(row) for row in entries}
@@ -109,16 +84,24 @@ def build_heuberger_matrix(a1: int, a2: int, a3: int) -> LabeledMatrix:
     """Relation matrix of the three-distance graph for an oriented triple.
 
     For nonzero a1, a2, a3 with gcd 1, returns the 3x2 matrix with rows
-    (g, 0), (-v, -a1/g), (-u, a2/g) where g = gcd(a1, a2) and
-    a1*u + a2*v = a3*g, labelled (a3, a2, a1) over the integers.  The first
-    column is annihilated by that relation, the second identically.
+    (g, 0), (-a3*v, -a1/g), (-a3*u, a2/g) labelled (a3, a2, a1) over the
+    integers, where g = gcd(a1, a2) and a1*u + a2*v = g.  The Bezout pair is
+    pinned: v is the balanced inverse of a2/g modulo n = |a1|/g, with
+    -n < 2v <= n, and u follows as (g - a2*v) / a1.  The first column is
+    annihilated by the relation a1*(a3*u) + a2*(a3*v) = a3*g, the second
+    identically.
     """
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise InvalidInputError("oriented distances must be nonzero")
     if gcd(a1, a2, a3) != 1:
         raise InvalidInputError("oriented distances must be coprime")
-    g, u, v = solve_bezout(a1, a2, a3)
-    rows = ((g, 0), (-v, -(a1 // g)), (-u, a2 // g))
+    g = gcd(a1, a2)
+    n = abs(a1) // g
+    v = pow(a2 // g, -1, n)
+    if 2 * v > n:
+        v -= n
+    u = (g - a2 * v) // a1
+    rows = ((g, 0), (-a3 * v, -(a1 // g)), (-a3 * u, a2 // g))
     return LabeledMatrix(rows, (a3, a2, a1), 0)
 
 

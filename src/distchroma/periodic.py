@@ -125,7 +125,7 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
     The first proper word x -> floor(k * (j*x mod m) / m) is returned from:
 
     1. every modulus m = 2 .. min(b + c, SMALL_MODULUS_LIMIT) with every
-       multiplier j = 1 .. m - 1, in that order;
+       multiplier j = 1 .. m // 2, in that order;
     2. the distinct collapse moduli |s - t| and s + t of two distances that
        lie above SMALL_MODULUS_LIMIT and at most b + c, in ascending order,
        each decided in O(log m) by _collapse_multiplier.
@@ -146,7 +146,10 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
             continue  # a loop on Z_m: j*0 = 0 lies outside every window
         lo = -(-m // k)
         hi = m - lo
-        for j in range(1, m):
+        # j and m - j give the residues r and m - r, and the window is
+        # symmetric under r -> m - r, so they pass or fail together and the
+        # first hit in ascending j has j <= m/2.
+        for j in range(1, m // 2 + 1):
             if lo <= j * ra % m <= hi and lo <= j * rb % m <= hi and lo <= j * rc % m <= hi:
                 return _rotation_word(t, m, j, k)
     moduli = {b - a, c - a, c - b, a + b, a + c, b + c}

@@ -8,7 +8,7 @@ import pytest
 
 from distchroma.cli import iter_triples, main, sweep_rows
 from distchroma.errors import InvalidInputError
-from distchroma.periodic import ChiCertificate, certify
+from distchroma.periodic import ChiCertificate, PeriodicColoring, certify
 from distchroma.zhu import normalize_triple
 
 
@@ -163,7 +163,22 @@ def test_color_scaled_k_below_chi(capsys, k, code, out, err):
 def test_color_missing_word_is_a_certification_failure(capsys, monkeypatch):
     monkeypatch.setattr("distchroma.cli.find_periodic_coloring", lambda t, k: None)
     assert main(["color", "1", "2", "4"]) == 1
-    assert refusal(capsys) == "error: no rotation 3-coloring word with period <= 6"
+    assert refusal(capsys) == (
+        "error: no verified rotation 3-coloring word with period <= 6 for (1, 2, 4)"
+    )
+
+
+def test_color_improper_word_is_a_certification_failure(capsys, monkeypatch):
+    # The word is re-verified before it is printed: "0 0" puts both ends of
+    # every odd distance on color 0.
+    monkeypatch.setattr(
+        "distchroma.cli.find_periodic_coloring",
+        lambda t, k: PeriodicColoring(2, (0, 0), 2, 2),
+    )
+    assert main(["color", "1", "3", "5"]) == 1
+    assert refusal(capsys) == (
+        "error: no verified rotation 2-coloring word with period <= 8 for (1, 3, 5)"
+    )
 
 
 # -------------------------------------------------------------- verify

@@ -3,7 +3,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distchroma.errors import InvalidInputError, QuotientLoopsError
@@ -13,9 +13,7 @@ from distchroma.intmat import (
     build_heuberger_matrix,
     col_combine,
     collapse_rows,
-    egcd,
     hermite_reduce_step,
-    solve_bezout,
 )
 from distchroma.zhu import normalize_triple, orient_for_matrix
 
@@ -34,50 +32,19 @@ triples = st.tuples(
 ).map(lambda raw: normalize_triple(*raw))
 
 
-# ---------------------------------------------------------------- egcd
+# ----------------------------------------------------- Bezout pair
 
-@pytest.mark.parametrize(
-    "x, y, expected",
-    [
-        (1, 2, (1, 1, 0)),
-        (6, 0, (6, 1, 0)),
-        (12, 20, (4, 2, -1)),
-        (-1, 4, (1, -1, 0)),
-        (5, 5, (5, 1, 0)),
-        (0, 7, (7, 0, 1)),
-        (0, -7, (7, 0, -1)),
-    ],
-)
-def test_egcd_golden(x, y, expected):
-    assert egcd(x, y) == expected
-
-
-def test_egcd_rejects_double_zero():
-    with pytest.raises(InvalidInputError):
-        egcd(0, 0)
-
-
-# Small entries hit the edge cases; matrix-verify sends distances up to 10**12.
-_egcd_entries = st.one_of(st.integers(-60, 60), st.integers(-10**15, 10**15))
-
-
-@given(_egcd_entries, _egcd_entries)
-def test_egcd_identity_and_canonical_window(x, y):
-    if x == 0 and y == 0:
-        return
-    g, u, v = egcd(x, y)
-    assert g == gcd(x, y) > 0
-    assert x * u + y * v == g
-    if x != 0:
-        # v sits in the balanced residue window modulo |x|/g, ties positive.
-        m = abs(x) // g
-        assert -m < 2 * v <= m
-    assert egcd(x, y) == (g, u, v)  # deterministic
+def bezout_pair(a1: int, a2: int, a3: int) -> tuple[int, int, int]:
+    # The builder's rows are (g, 0), (-v, -a1/g), (-u, a2/g) with
+    # a1*u + a2*v == a3*g; read (g, u, v) back off the first column.
+    (g, _), (minus_v, _), (minus_u, _) = build_heuberger_matrix(a1, a2, a3).entries
+    return g, -minus_u, -minus_v
 
 
 @given(st.integers(-40, 40).filter(bool), st.integers(-40, 40).filter(bool), st.integers(-40, 40).filter(bool))
 def test_solve_bezout_satisfies_relation(a1, a2, a3):
-    g, u, v = solve_bezout(a1, a2, a3)
+    assume(gcd(a1, a2, a3) == 1)
+    g, u, v = bezout_pair(a1, a2, a3)
     assert g == gcd(a1, a2)
     assert a1 * u + a2 * v == a3 * g
 
@@ -88,10 +55,33 @@ def test_solve_bezout_satisfies_relation(a1, a2, a3):
         ((1, 2, 3), (1, 3, 0)),
         ((-1, 4, 2), (1, -2, 0)),
         ((5, 5, 7), (5, 7, 0)),
+        # a3 = 1 leaves the unscaled pair.
+        ((1, 2, 1), (1, 1, 0)),
+        ((12, 20, 1), (4, 2, -1)),
+        ((-1, 4, 1), (1, -1, 0)),
+        ((5, 5, 1), (5, 1, 0)),
     ],
 )
 def test_solve_bezout_golden(args, expected):
-    assert solve_bezout(*args) == expected
+    assert bezout_pair(*args) == expected
+
+
+# Small entries hit the edge cases; matrix-verify sends distances up to 10**12.
+_bezout_entries = st.one_of(st.integers(-60, 60), st.integers(-10**15, 10**15)).filter(bool)
+
+
+@given(_bezout_entries, _bezout_entries, st.integers(-7, 7).filter(bool))
+def test_bezout_identity_and_balanced_window(a1, a2, a3):
+    assume(gcd(a1, a2, a3) == 1)
+    g, u, v = bezout_pair(a1, a2, a3)
+    assert g == gcd(a1, a2) > 0
+    assert a1 * u + a2 * v == a3 * g
+    # Before scaling by a3, v sits in the balanced residue window modulo
+    # |a1|/g, ties positive.
+    assert u % a3 == 0 and v % a3 == 0
+    n = abs(a1) // g
+    assert -n < 2 * (v // a3) <= n
+    assert bezout_pair(a1, a2, a3) == (g, u, v)  # deterministic
 
 
 # ------------------------------------------------------ LabeledMatrix
@@ -99,6 +89,13 @@ def test_solve_bezout_golden(args, expected):
 def test_constructor_rejects_broken_annihilation():
     with pytest.raises(InvalidInputError):
         LabeledMatrix(((1, 0), (0, 1), (1, 1)), (1, 1, 1), 0)
+    # Non-integers are refused rather than truncated: 1*1.7 - 1*1.2 != 0,
+    # though int() would make both rows (1, 0); True is not the integer 1.
+    for entries in (((1.7, 0), (1.2, 0)), ((True, 0), (1, 0))):
+        with pytest.raises(InvalidInputError):
+            LabeledMatrix(entries, (1, -1), 0)
+    with pytest.raises(InvalidInputError):
+        LabeledMatrix(((1, 0), (1, 0)), (True, -1), 0)
 
 
 def test_constructor_rejects_modulus_one_and_unreduced_labels():
@@ -137,6 +134,14 @@ def test_build_rejects_common_factor_and_zero():
         build_heuberger_matrix(2, 4, 6)
     with pytest.raises(InvalidInputError):
         build_heuberger_matrix(0, 1, 2)
+
+
+@pytest.mark.parametrize("args", [(6, 0, 1), (0, 7, 1), (0, -7, 1), (0, 0, 1), (1, 2, 0)])
+def test_build_rejects_zero_distance(args):
+    # The Bezout step divides by a1 and inverts a2/g modulo |a1|/g, so a
+    # zero distance must be refused before it.
+    with pytest.raises(InvalidInputError, match="nonzero"):
+        build_heuberger_matrix(*args)
 
 
 def test_build_matches_alternative_published_form():
