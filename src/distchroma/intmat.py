@@ -13,6 +13,7 @@ here leaves the represented graph unchanged.  All arithmetic is exact.
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from operator import add, mul, sub
 
 from .errors import InvalidInputError, QuotientLoopsError
 
@@ -24,9 +25,9 @@ class LabeledMatrix:
     ``entries`` holds 2 or 3 row tuples of width 1 or 2, ``label`` gives the
     group image of each row's generator, and ``modulus`` is 0 over the
     integers or n >= 2 over Z_n (labels then reduced into [0, n)).
-    Construction requires every entry and label to be an int and checks
-    label annihilation: label . column == 0 modulo the modulus for every
-    column.
+    Construction requires every entry, label and the modulus to be an int
+    and checks label annihilation: label . column == 0 modulo the modulus
+    for every column.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -36,25 +37,30 @@ class LabeledMatrix:
     def __post_init__(self):
         entries = tuple(map(tuple, self.entries))
         label = tuple(self.label)
+        modulus = self.modulus
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "label", label)
         # Exact int types, as verify_periodic requires: a coerced 1.7 would
         # pass the annihilation check as 1, and bool is an int subclass.
-        if any(type(x) is not int for x in chain(label, *entries)):
+        if not set(map(type, chain(label, *entries))) <= {int}:
             raise InvalidInputError("matrix entries and labels must be integers")
         if len(entries) not in (2, 3):
             raise InvalidInputError("matrix must have 2 or 3 rows")
-        widths = {len(row) for row in entries}
+        widths = set(map(len, entries))
         if len(widths) != 1 or widths.pop() not in (1, 2):
             raise InvalidInputError("matrix must have 1 or 2 columns of equal width")
         if len(label) != len(entries):
             raise InvalidInputError("label length must match the row count")
-        if self.modulus < 0 or self.modulus == 1:
+        # A bool modulus passes isinstance and falls to the range message.
+        if not isinstance(modulus, int):
+            raise InvalidInputError("modulus must be an integer")
+        if type(modulus) is not int or modulus < 0 or modulus == 1:
             raise InvalidInputError("modulus must be 0 or at least 2")
-        if self.modulus and not all(0 <= v < self.modulus for v in label):
+        if modulus and not (0 <= min(label) and max(label) < modulus):
             raise InvalidInputError("labels must be reduced into [0, modulus)")
-        for j, total in enumerate(self.label_column_products()):
-            if (total if self.modulus == 0 else total % self.modulus) != 0:
+        for j, column in enumerate(zip(*entries)):
+            total = sum(map(mul, label, column))
+            if (total % modulus if modulus else total) != 0:
                 raise InvalidInputError(f"label does not annihilate column {j}")
 
     @property
@@ -67,10 +73,7 @@ class LabeledMatrix:
 
     def label_column_products(self) -> tuple[int, ...]:
         """Raw dot products label . column, one per column, before reduction."""
-        return tuple(
-            sum(lab * row[j] for lab, row in zip(self.label, self.entries))
-            for j in range(self.ncols)
-        )
+        return tuple(sum(map(mul, self.label, column)) for column in zip(*self.entries))
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,17 +168,13 @@ def collapse_rows(m: LabeledMatrix, i: int, j: int, sign: int) -> LabeledMatrix:
     for lab in m.label:
         if lab % n == 0:
             raise QuotientLoopsError(f"distance {lab} vanishes modulo {n}")
-    rows = []
-    labels = []
-    for k in range(3):
-        if k == j:
-            continue
-        if k == i:
-            rows.append(tuple(a + sign * b for a, b in zip(m.entries[i], m.entries[j])))
-        else:
-            rows.append(m.entries[k])
-        labels.append(m.label[k] % n)
-    return LabeledMatrix(tuple(rows), tuple(labels), n)
+    merged = tuple(map(add if sign == 1 else sub, m.entries[i], m.entries[j]))
+    k = 3 - i - j
+    if i < k:
+        rows, labels = (merged, m.entries[k]), (m.label[i] % n, m.label[k] % n)
+    else:
+        rows, labels = (m.entries[k], merged), (m.label[k] % n, m.label[i] % n)
+    return LabeledMatrix(rows, labels, n)
 
 
 # The six row collapses of a 3-row matrix as (i, j, sign): each row pair

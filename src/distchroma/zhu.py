@@ -10,7 +10,7 @@ and orients triples for the relation-matrix pipeline.
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd
 
 from .errors import InvalidInputError
@@ -66,15 +66,15 @@ def orient_for_matrix(t: DistanceTriple) -> tuple[int, int, int]:
     3 | a1 + a2, -a1 <= a2 and |a1| <= |a2|.
 
     Among any three integers some pair has its sum or difference divisible
-    by 3, so a valid arrangement always exists.  The scan order is fixed
-    (descending value permutations, then sign patterns with + before -) so
-    repeated runs build identical matrices.
+    by 3, so a valid arrangement always exists.  The fixed scan (descending
+    permutations with p1 <= p2, then a1 = +-p1 and a2 = +-p2, + before -)
+    tries 24 candidates; no condition reads a3, so it keeps its + sign.
     """
-    for perm in permutations(sorted(t.distances(), reverse=True)):
-        for signs in product((1, -1), repeat=3):
-            a1, a2, a3 = (s * v for s, v in zip(signs, perm))
-            if (a1 + a2) % 3 == 0 and -a1 <= a2 and abs(a1) <= abs(a2):
-                return (a1, a2, a3)
+    for p1, p2, p3 in permutations(sorted(t.distances(), reverse=True)):
+        if p1 <= p2:
+            for a1, a2 in ((p1, p2), (p1, -p2), (-p1, p2), (-p1, -p2)):
+                if (a1 + a2) % 3 == 0 and -a1 <= a2:
+                    return (a1, a2, p3)
     raise AssertionError("unreachable: a valid orientation always exists")
 
 

@@ -248,6 +248,22 @@ def test_matrix_steps_trace(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "triple, digest",
+    [
+        ((1, 2, 3), "1c1e93e0ded23870b5cb49e54d2a7f456e068e3e1357475c0a6d3e998c13e0b2"),
+        ((2, 3, 5), "4c2e6b13179cd0f2646524f844753bdfd05cca5dc54ef50f97ee84648ff6580f"),
+        ((3, 10**39 + 1, 10**39 + 4), "a27094add96710ad2a771043f5e56673a00120925d1319abad983773660fa569"),
+    ],
+)
+def test_matrix_steps_golden(capsys, triple, digest):
+    # The whole --steps trace, byte for byte; the last triple is the
+    # 40-digit one CI runs.
+    assert main(["matrix", *map(str, triple), "--steps"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_matrix_normalizes_scaled_input(capsys):
     assert main(["matrix", "2", "4", "6"]) == 0
     scaled = capsys.readouterr().out

@@ -1,5 +1,8 @@
 """Exact-arithmetic and invariant tests for the labeled-matrix core."""
 
+import hashlib
+import json
+import random
 from math import gcd
 
 import pytest
@@ -103,6 +106,43 @@ def test_constructor_rejects_modulus_one_and_unreduced_labels():
         LabeledMatrix(((1, 0), (0, 1)), (1, 1), 1)
     with pytest.raises(InvalidInputError):
         LabeledMatrix(((5, 0), (0, 5)), (5, 5), 5)
+
+
+_SQUARE = ((1, 0), (1, 0))  # annihilated by (1, 1) modulo 2
+_MESSAGE_INT = "entries and labels must be integers"
+_MESSAGE_MODULUS = "modulus must be 0 or at least 2"
+_MESSAGE_REDUCED = r"labels must be reduced into \[0, modulus\)"
+
+
+@pytest.mark.parametrize(
+    "entries, label, modulus, message",
+    [
+        pytest.param(((1, 0), (1.0, 0)), (1, -1), 0, _MESSAGE_INT, id="float-entry"),
+        pytest.param(((1, 0),) * 4, (1, -1, 1, -1), 0, "2 or 3 rows", id="four-rows"),
+        pytest.param(((1, 0), (1,)), (1, -1), 0, "equal width", id="ragged"),
+        pytest.param(((1, 2, 3), (1, 2, 3)), (1, -1), 0, "equal width", id="three-columns"),
+        pytest.param(_SQUARE, (1, -1, 0), 0, "label length", id="label-length"),
+        pytest.param(_SQUARE, (1, 1), 1, _MESSAGE_MODULUS, id="modulus-one"),
+        pytest.param(_SQUARE, (1, 1), -2, _MESSAGE_MODULUS, id="modulus-negative"),
+        pytest.param(_SQUARE, (1, 1), True, _MESSAGE_MODULUS, id="modulus-true"),
+        pytest.param(_SQUARE, (0, 0), False, _MESSAGE_MODULUS, id="modulus-false"),
+        pytest.param(_SQUARE, (1, 1), 2.0, "modulus must be an integer", id="modulus-float"),
+        pytest.param(_SQUARE, (1, 1), "2", "modulus must be an integer", id="modulus-str"),
+        pytest.param(_SQUARE, (1, 3), 2, _MESSAGE_REDUCED, id="label-too-large"),
+        pytest.param(_SQUARE, (1, -1), 2, _MESSAGE_REDUCED, id="label-negative"),
+        pytest.param(((1, 0), (0, 1), (1, 1)), (1, 1, 1), 0, "annihilate column 0", id="column-0"),
+        pytest.param(((1, 1), (1, 0)), (1, 1), 2, "annihilate column 1", id="column-1"),
+        # Wrong in two ways: the earlier check's message wins.
+        pytest.param(((1, 0), (1.5, 0)), (1, -1, 0), "2", _MESSAGE_INT, id="float-and-length"),
+        pytest.param(((1, 0), (0, 1), (1, 1)), (1, 1), 0, "label length", id="length-and-column"),
+        pytest.param(_SQUARE, (1, 1, 1), 2.0, "label length", id="length-and-modulus"),
+        pytest.param(_SQUARE, (1, 5), 2.0, "modulus must be an integer", id="modulus-and-label"),
+        pytest.param(((1, 1), (1, 0)), (1, 5), 3, _MESSAGE_REDUCED, id="label-and-column"),
+    ],
+)
+def test_constructor_error_precedence(entries, label, modulus, message):
+    with pytest.raises(InvalidInputError, match=message):
+        LabeledMatrix(entries, label, modulus)
 
 
 def test_json_shape():
@@ -306,3 +346,39 @@ def test_random_column_moves_preserve_annihilation(t, factor, cols):
     assert annihilation_residues(moved) == [0, 0]
     assert moved.label == m.label
     assert moved.modulus == m.modulus
+
+
+# ------------------------------------------------------ golden pipeline
+
+def _pipeline_record(t) -> str:
+    orient = orient_for_matrix(t)
+    m = build_heuberger_matrix(*orient)
+    q, r, reduced = hermite_reduce_step(m)
+    collapses = [
+        [i, j, sign, quotient.to_json_dict()]
+        for i, j, sign, quotient in admissible_collapses(m)
+    ]
+    return json.dumps(
+        [list(orient), m.to_json_dict(), q, r, reduced.to_json_dict(), collapses],
+        sort_keys=True,
+    )
+
+
+def test_pipeline_golden_digest():
+    # One hash over every stage's output: each coprime triple with c <= 30,
+    # then 2,000 triples with entries up to 10**15 from a fixed seed.
+    small = [
+        normalize_triple(a, b, c)
+        for c in range(1, 31)
+        for b in range(1, c + 1)
+        for a in range(1, b + 1)
+        if gcd(a, b, c) == 1
+    ]
+    rng = random.Random(20240517)
+    large = [normalize_triple(*(rng.randint(1, 10**15) for _ in range(3))) for _ in range(2000)]
+    digest = hashlib.sha256()
+    for t in small + large:
+        digest.update(_pipeline_record(t).encode())
+        digest.update(b"\n")
+    assert len(small) == 4027
+    assert digest.hexdigest() == "d405c6a4807c3a18dae741dc4a95145f8e4e20cf8e3eb2508e9f2eaed435625a"

@@ -1,5 +1,6 @@
 """Tests for triple normalization, orientation, and the classification."""
 
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -85,6 +86,34 @@ def test_orient_postconditions(t):
     assert abs(a1) <= abs(a2)
     # repeated calls give identical matrices downstream
     assert orient_for_matrix(t) == (a1, a2, a3)
+
+
+def old_orient_scan(t):
+    # Reference: all 48 signed arrangements, descending value permutations
+    # first, then sign patterns with + before -.
+    for perm in permutations(sorted(t.distances(), reverse=True)):
+        for signs in product((1, -1), repeat=3):
+            a1, a2, a3 = (s * v for s, v in zip(signs, perm))
+            if (a1 + a2) % 3 == 0 and -a1 <= a2 and abs(a1) <= abs(a2):
+                return (a1, a2, a3)
+    raise AssertionError("no orientation")
+
+
+_huge = st.integers(1, 10**15)
+
+
+@given(st.tuples(_huge, _huge, _huge).map(lambda raw: normalize_triple(*raw)))
+def test_orient_matches_old_scan_large(t):
+    assert orient_for_matrix(t) == old_orient_scan(t)
+
+
+def test_orient_matches_old_scan_exhaustive():
+    for c in range(1, 41):
+        for b in range(1, c + 1):
+            for a in range(1, b + 1):
+                if gcd(a, b, c) == 1:
+                    t = DistanceTriple(a, b, c)
+                    assert orient_for_matrix(t) == old_orient_scan(t), t
 
 
 # ----------------------------------------------------- classification
