@@ -8,8 +8,8 @@ rests on the exact solver that found it.  The lower witness also refutes
 any number of colors below the chromatic number.
 
 The package root exports this certificate API.  The exact coloring solver
-and circulant oracle stay in distchroma.circulant, and the relation-matrix
-pipeline in distchroma.intmat.
+stays in distchroma.circulant, and the relation-matrix pipeline in
+distchroma.intmat.
 """
 
 from .errors import CertificationError, InvalidInputError

@@ -1,4 +1,4 @@
-"""Circulant graphs on Z_n and the exact coloring solver.
+"""The exact coloring solver for adjacency-list graphs.
 
 backtrack_coloring decides whether a segment of the distance graph can be
 colored with one color fewer than the chromatic number; that exhausted
@@ -7,68 +7,9 @@ by forward checking, unit propagation and the interchangeability of unused
 colors, never by a heuristic cut-off.  It orders vertices by fewest
 remaining colors (DSatur), with a scan that stops at min(k, 2) colors,
 the fewest unit propagation leaves, and keeps its state on explicit
-stacks.  The circulants, exists_coloring and chromatic_number are an
-exact oracle for the tests, not part of any certificate; every coloring
-exists_coloring emits is re-checked against the adjacency lists.
+stacks.  exists_coloring is the same search with every coloring it
+returns re-checked against the adjacency lists; no certificate uses it.
 """
-
-from dataclasses import dataclass
-
-from .errors import InvalidInputError, QuotientLoopsError
-
-
-@dataclass(frozen=True)
-class Circulant:
-    """Cayley graph on Z_n with a symmetric, loop-free connection set."""
-
-    n: int
-    conn: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "conn", frozenset(self.conn))
-        if self.n < 2:
-            raise InvalidInputError("circulant modulus must be at least 2")
-        for s in self.conn:
-            if not 0 < s < self.n:
-                raise InvalidInputError("connection residues must lie in [1, n-1]")
-            if (self.n - s) not in self.conn:
-                raise InvalidInputError("connection set must be closed under negation")
-
-    def adjacency(self) -> list[list[int]]:
-        return [sorted((v + s) % self.n for s in self.conn) for v in range(self.n)]
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Proper coloring witness: one color per vertex, drawn from [0, k)."""
-
-    colors: tuple[int, ...]
-    k: int
-
-
-def make_circulant(n: int, gens: list[int]) -> Circulant:
-    """Reduce the generators mod n and close under negation.
-
-    A generator divisible by n would be a loop, which no proper coloring
-    tolerates, so it is rejected outright.
-    """
-    if n < 2:
-        raise InvalidInputError("circulant modulus must be at least 2")
-    conn = set()
-    for g in gens:
-        r = g % n
-        if r == 0:
-            raise QuotientLoopsError(f"generator {g} vanishes modulo {n}")
-        conn.add(r)
-        conn.add(n - r)
-    return Circulant(n, frozenset(conn))
-
-
-def is_proper(adjacency: list[list[int]], colors) -> bool:
-    """Check a coloring against adjacency lists, vertex by vertex."""
-    return all(
-        colors[v] != colors[u] for v in range(len(adjacency)) for u in adjacency[v]
-    )
 
 
 def backtrack_coloring(adjacency: list[list[int]], k: int) -> "list[int] | None":
@@ -179,26 +120,12 @@ def backtrack_coloring(adjacency: list[list[int]], k: int) -> "list[int] | None"
                 break
 
 
-def exists_coloring(c: Circulant, k: int) -> "Coloring | None":
-    """A proper k-coloring of the circulant, or None when none exists."""
-    adjacency = c.adjacency()
+def exists_coloring(adjacency: list[list[int]], k: int) -> "list[int] | None":
+    """A proper k-coloring of the adjacency-list graph, or None when none
+    exists; the solver's answer is re-checked edge by edge."""
     found = backtrack_coloring(adjacency, k)
-    if found is None:
-        return None
-    if not is_proper(adjacency, found):
+    if found is not None and any(
+        found[v] == found[u] for v, near in enumerate(adjacency) for u in near
+    ):
         raise RuntimeError("internal error: search produced an improper coloring")
-    return Coloring(tuple(found), k)
-
-
-def chromatic_number(c: Circulant) -> tuple[int, Coloring]:
-    """Smallest k admitting a proper coloring, with a witness.
-
-    Starts at k = 2 (a loop-free circulant with edges is never
-    1-colorable) and succeeds by k = n at the latest; failure at k - 1 is
-    certified by the exhausted search.
-    """
-    for k in range(2, c.n + 1):
-        witness = exists_coloring(c, k)
-        if witness is not None:
-            return (k, witness)
-    raise AssertionError("unreachable: n colors always suffice")
+    return found

@@ -63,14 +63,6 @@ class LabeledMatrix:
             if (total % modulus if modulus else total) != 0:
                 raise InvalidInputError(f"label does not annihilate column {j}")
 
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0])
-
     def label_column_products(self) -> tuple[int, ...]:
         """Raw dot products label . column, one per column, before reduction."""
         return tuple(sum(map(mul, self.label, column)) for column in zip(*self.entries))
@@ -108,32 +100,18 @@ def build_heuberger_matrix(a1: int, a2: int, a3: int) -> LabeledMatrix:
     return LabeledMatrix(rows, (a3, a2, a1), 0)
 
 
-def col_combine(m: LabeledMatrix, src: int, dst: int, factor: int) -> LabeledMatrix:
-    """Add ``factor`` times column ``src`` to column ``dst`` (0-based).
-
-    A unimodular column move: the column span, the label, and the modulus
-    are unchanged, so the represented graph is too.
-    """
-    if not (0 <= src < m.ncols and 0 <= dst < m.ncols):
-        raise InvalidInputError("column index out of range")
-    if src == dst:
-        raise InvalidInputError("source and destination columns must differ")
-    rows = tuple(
-        tuple(e + factor * row[src] if j == dst else e for j, e in enumerate(row))
-        for row in m.entries
-    )
-    return LabeledMatrix(rows, m.label, m.modulus)
-
-
 def hermite_reduce_step(m: LabeledMatrix) -> tuple[int, int, LabeledMatrix]:
     """One division step toward the reduced (Hermite-style) column form.
 
     Requires the builder's shape: row one is (g, 0) and the column-two pivot
     sits at row two.  Writes entry (row 2, col 1) as q*pivot + r with the
     remainder window -|pivot| < r <= 0, then clears it to r by adding -q
-    times column two to column one.  Returns (q, r, reduced_matrix).
+    times column two to column one: each row (x, y) becomes (x - q*y, y).
+    That unimodular column move keeps the column span, the label and the
+    modulus, and the constructor re-checks annihilation.  Returns
+    (q, r, reduced_matrix).
     """
-    if m.nrows != 3 or m.ncols != 2 or m.entries[0][1] != 0:
+    if len(m.entries) != 3 or len(m.entries[0]) != 2 or m.entries[0][1] != 0:
         raise InvalidInputError("matrix does not have the reduced builder shape")
     pivot = m.entries[1][1]
     if pivot == 0:
@@ -143,7 +121,8 @@ def hermite_reduce_step(m: LabeledMatrix) -> tuple[int, int, LabeledMatrix]:
     if r:
         r -= abs(pivot)
     q = (below - r) // pivot
-    return q, r, col_combine(m, src=1, dst=0, factor=-q)
+    rows = tuple((x - q * y, y) for x, y in m.entries)
+    return q, r, LabeledMatrix(rows, m.label, m.modulus)
 
 
 def collapse_rows(m: LabeledMatrix, i: int, j: int, sign: int) -> LabeledMatrix:
@@ -156,7 +135,7 @@ def collapse_rows(m: LabeledMatrix, i: int, j: int, sign: int) -> LabeledMatrix:
     with those labels.  Quotients that would place a loop on the graph are
     rejected: n < 2, or n dividing any label entry.
     """
-    if m.nrows != 3 or m.modulus != 0:
+    if len(m.entries) != 3 or m.modulus != 0:
         raise InvalidInputError("row collapse requires a 3-row matrix over the integers")
     if sign not in (-1, 1):
         raise InvalidInputError("sign must be -1 or +1")

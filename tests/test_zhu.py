@@ -173,6 +173,6 @@ def test_bipartite_iff_two_colors_iff_even_column_sums(t):
     chi, _ = chi_formula(t)
     m = build_heuberger_matrix(*orient_for_matrix(t))
     sums_even = all(
-        sum(row[j] for row in m.entries) % 2 == 0 for j in range(m.ncols)
+        sum(row[j] for row in m.entries) % 2 == 0 for j in range(len(m.entries[0]))
     )
     assert is_bipartite(t) == (chi == 2) == sums_even
