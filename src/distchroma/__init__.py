@@ -4,8 +4,10 @@ The library classifies the chromatic number of Cay(Z, {+-a, +-b, +-c}),
 constructs periodic proper colorings with period at most b + c as rotation
 words, and certifies every answer with witnesses for both bounds: the
 periodic upper witness is re-verified independently, while the lower one
-rests on the exact solver that found it.  The lower witness also refutes
-any number of colors below the chromatic number.
+rests on the exact segment refutation that found it, a contraction of the
+vertices every 3-coloring forces to share a color followed by the exact
+solver.  The lower witness also refutes any number of colors below the
+chromatic number.
 
 The package root exports this certificate API.  The exact coloring solver
 stays in distchroma.circulant, and the relation-matrix pipeline in

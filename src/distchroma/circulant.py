@@ -1,8 +1,9 @@
 """The exact coloring solver for adjacency-list graphs.
 
-backtrack_coloring decides whether a segment of the distance graph can be
-colored with one color fewer than the chromatic number; that exhausted
-search is the lower-bound witness, so the solver is exact: it prunes only
+backtrack_coloring decides whether a segment of the distance graph, after
+periodic.segment_colorable has merged the vertices that must share a
+color, can be colored with one color fewer than the chromatic number; that
+exhausted search is the lower-bound witness, so the solver is exact: it prunes only
 by forward checking, unit propagation and the interchangeability of unused
 colors, never by a heuristic cut-off.  It orders vertices by fewest
 remaining colors (DSatur), with a scan that stops at min(k, 2) colors,

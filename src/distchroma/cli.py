@@ -5,7 +5,9 @@ Exit codes are a stable contract: 0 success, 1 a verification or
 consistency failure, 2 invalid input.  Subcommands raise on failure and never
 print ``error:`` themselves; ``main`` is the one place that maps errors to
 exit codes: ``InvalidInputError`` exits 2 and ``CertificationError`` exits
-1, each with one ``error:`` line on stderr.
+1, each with one ``error:`` line on stderr.  Output that cannot be written
+because the reader closed standard output (``distchroma ... | head``) is
+a failure too: it exits 1 with an ``error:`` line and no traceback.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from math import gcd
@@ -274,10 +277,20 @@ def _add_triple(sub_parser: argparse.ArgumentParser) -> None:
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except (InvalidInputError, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InvalidInputError) else 1
+    except BrokenPipeError:
+        # Point stdout at the null device, so the interpreter's own flush
+        # of what is still buffered cannot raise again on the way out.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before the output was written", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,14 +19,17 @@ MAX_WORD_LENGTH is ever built.
 
 A certificate bundles the classification answer with re-verified witnesses
 in both directions: a periodic coloring for the upper bound, and, from
-lower_bound, an edge, a parity argument or an exhaustively uncolorable
-segment for the lower bound.  The same lower bound refutes any number of
-colors below the chromatic number.
+lower_bound, an edge, a parity argument or an uncolorable segment for the
+lower bound.  A segment is refuted exactly: its vertices that every
+3-coloring forces to share a color are merged first, and the exact solver
+runs on the quotient only if no edge falls inside a class.  The same lower
+bound refutes any number of colors below the chromatic number.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
-from operator import ne
+from operator import eq, ne
 
 from .circulant import backtrack_coloring
 from .circulant import exists_coloring  # not called; perfbench --trace 1 rebinds it here
@@ -73,7 +76,9 @@ class LowerBound:
     kind "parity": not every distance is odd, which yields an odd closed
     walk, so two colors cannot suffice.
     kind "segment": the vertices 0..length admit no coloring with one color
-    fewer, established by exhausted search.
+    fewer, established by segment_colorable: an edge between vertices that
+    every such coloring forces to share a color, or an exhausted search of
+    the quotient.
     """
 
     kind: str
@@ -294,14 +299,57 @@ def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
     Any induced finite subgraph bounds the chromatic number of the whole
     graph from below; an uncolorable segment is therefore a lower-bound
     witness.
+
+    For k = 3 the segment is contracted first.  The two ends of an edge
+    x ~ x + s take two of the three colors, so every vertex adjacent to
+    both takes the third: the vertices x + e with e and e - s in +-D share
+    a color.  One union-find pass over the edges merges them.  Every
+    proper 3-coloring is constant on each class, so an edge inside a class
+    refutes the segment with no search, and otherwise the quotient graph
+    is 3-colorable exactly when the segment is.
     """
     distances = set(t.distances())
-    adjacency = [[] for _ in range(length + 1)]
-    for v in range(length + 1):
+    n = length + 1
+    # Each vertex points to a lower vertex of its class, or to itself.
+    parent = list(range(n))
+    if k == 3:
+        signed = distances | {-s for s in distances}
         for s in distances:
-            if v + s <= length:
-                adjacency[v].append(v + s)
-                adjacency[v + s].append(v)
+            common = sorted(e for e in signed if e - s in signed)
+            for i, e0 in enumerate(common):
+                for e1 in common[i + 1:]:
+                    # x ~ x + s is an edge, and x + e0 < x + e1 lie in 0..length
+                    for x in range(max(0, -e0), min(length - s, length - e1) + 1):
+                        u, v = x + e0, x + e1
+                        while parent[u] != u:
+                            parent[u] = u = parent[parent[u]]
+                        while parent[v] != v:
+                            parent[v] = v = parent[parent[v]]
+                        if u < v:
+                            parent[v] = u
+                        elif v < u:
+                            parent[u] = v
+    # Pointers only go down, so one ascending pass replaces each pointer by
+    # the number of its class, classes numbered by their least vertex.
+    classes = 0
+    for v, p in enumerate(parent):
+        if p == v:
+            parent[v] = classes
+            classes += 1
+        else:
+            parent[v] = parent[p]
+    label = parent
+    for s in distances:
+        if any(map(eq, label, islice(label, s, None))):
+            return False  # an edge inside a class
+    adjacency = [[] for _ in range(classes)]
+    for s in distances:
+        for v in range(n - s):
+            p, q = label[v], label[v + s]
+            adjacency[p].append(q)
+            adjacency[q].append(p)
+    for p, near in enumerate(adjacency):
+        adjacency[p] = list(set(near))
     return backtrack_coloring(adjacency, k) is not None
 
 

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import distchroma
 from distchroma.cli import iter_triples, main, sweep_rows
 from distchroma.errors import InvalidInputError
 from distchroma.periodic import ChiCertificate, PeriodicColoring, certify
@@ -262,6 +267,26 @@ def test_matrix_steps_golden(capsys, triple, digest):
     assert main(["matrix", *map(str, triple), "--steps"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # The reader is gone before the first write, as in `distchroma ... | head`
+    # when head has already exited.
+    src = str(Path(distchroma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "distchroma.cli", "matrix", "1", "2", "3", "--steps"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_matrix_normalizes_scaled_input(capsys):

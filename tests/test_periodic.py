@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distchroma.circulant import backtrack_coloring
 from distchroma.cli import iter_triples
 from distchroma.errors import CertificationError, InvalidInputError
 from distchroma.periodic import (
@@ -232,6 +233,29 @@ def test_segment_golden():
     assert segment_colorable(t, 3, 4)
 
 
+def raw_segment_colorable(t, length, k):
+    """The segment 0..length solved as it stands, with no contraction."""
+    adjacency = [[] for _ in range(length + 1)]
+    for v in range(length + 1):
+        for s in set(t.distances()):
+            if v + s <= length:
+                adjacency[v].append(v + s)
+                adjacency[v + s].append(v)
+    return backtrack_coloring(adjacency, k) is not None
+
+
+def test_segment_contraction_is_exact():
+    # Merging the common neighbors of each edge must neither refute a
+    # 3-colorable segment nor leave an uncolorable one colorable; the other
+    # numbers of colors take no contraction and must agree as well.
+    for t in iter_triples(12):
+        for length in range(2 * (t.b + t.c) + 3):
+            for k in (1, 2, 3, 4) if t.c <= 8 else (3,):
+                assert segment_colorable(t, length, k) == raw_segment_colorable(t, length, k), (
+                    t.distances(), length, k
+                )
+
+
 def test_segment_uncolorable_for_1_2_6():
     t = normalize_triple(1, 2, 6)
     assert not segment_colorable(t, 48, 3)
@@ -267,6 +291,21 @@ def test_segment_length_golden():
             assert cert.lower.kind == LOWER_SEGMENT
             found[t.distances()] = cert.lower.length
     assert found == SEGMENT_LENGTHS
+
+
+def test_segment_family_a_a1_2a1():
+    # (a, a + 1, 2a + 1) has chi = 4, and three colors fail already on
+    # 0..b+c; the plain search doubled its cost with each step of a.
+    for a in range(17, 41):
+        cert = certify(normalize_triple(a, a + 1, 2 * a + 1))
+        assert (cert.lower.kind, cert.lower.length) == (LOWER_SEGMENT, cert.triple.b + cert.triple.c)
+
+
+@pytest.mark.parametrize("raw", [(35, 141, 176), (34, 339, 373), (17, 373, 390), (58, 231, 289)])
+def test_segment_witness_off_the_family(raw):
+    # Each of these ran past 30 s under the plain segment search.
+    cert = certify(normalize_triple(*raw))
+    assert (cert.chi, cert.lower.kind) == (4, LOWER_SEGMENT)
 
 
 @settings(deadline=None)
