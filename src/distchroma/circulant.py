@@ -1,15 +1,15 @@
 """The exact coloring solver for adjacency-list graphs.
 
-backtrack_coloring decides whether a segment of the distance graph, after
-periodic.segment_colorable has merged the vertices that must share a
-color, can be colored with one color fewer than the chromatic number; that
-exhausted search is the lower-bound witness, so the solver is exact: it prunes only
-by forward checking, unit propagation and the interchangeability of unused
-colors, never by a heuristic cut-off.  It orders vertices by fewest
-remaining colors (DSatur), with a scan that stops at min(k, 2) colors,
-the fewest unit propagation leaves, and keeps its state on explicit
-stacks.  exists_coloring is the same search with every coloring it
-returns re-checked against the adjacency lists; no certificate uses it.
+No program path runs it: periodic.segment_colorable refutes a segment by
+its forced-equal classes alone.  backtrack_coloring is the reference the
+tests check that refutation against, on whole uncontracted segments.  A
+reference must be exact, so it prunes only by forward checking, unit
+propagation and the interchangeability of unused colors, never by a
+heuristic cut-off.  It orders vertices by fewest remaining colors (DSatur), with a
+scan that stops at min(k, 2) colors, the fewest unit propagation leaves,
+and keeps its state on explicit stacks.  exists_coloring is the same
+search with every coloring it returns re-checked against the adjacency
+lists.
 """
 
 

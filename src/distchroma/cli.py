@@ -18,9 +18,16 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
+from itertools import chain
 from math import gcd
 
-from .errors import CertificationError, InvalidInputError, QuotientLoopsError
+from .errors import (
+    CertificationError,
+    InvalidInputError,
+    QuotientLoopsError,
+    _brief,
+    _past_str_limit,
+)
 from .intmat import COLLAPSE_MOVES, build_heuberger_matrix, collapse_rows, hermite_reduce_step
 from .periodic import certify, find_periodic_coloring, lower_bound, verify_periodic, word_is_proper
 from .zhu import (
@@ -123,8 +130,8 @@ def _cmd_color(args) -> int:
     pc = find_periodic_coloring(t, k)
     if pc is None or not verify_periodic(t, pc):
         raise CertificationError(
-            f"no verified rotation {k}-coloring word with period <= {t.b + t.c} "
-            f"for {t.distances()}"
+            f"no verified rotation {_brief(k)}-coloring word with period "
+            f"<= {_brief(t.b + t.c)} for {_brief(t.distances())}"
         )
     print(f"period {pc.period}")
     print(" ".join(str(color) for color in pc.colors))
@@ -143,7 +150,7 @@ def _cmd_verify(args) -> int:
     except ValueError:
         raise InvalidInputError("--colors must be a comma-separated list of integers") from None
     if len(colors) != args.period:
-        raise InvalidInputError(f"expected {args.period} colors, got {len(colors)}")
+        raise InvalidInputError(f"expected {_brief(args.period)} colors, got {len(colors)}")
     if word_is_proper((args.a, args.b, args.c), colors):
         print("proper")
         return 0
@@ -166,23 +173,41 @@ def _print_stage(stage: str, matrix) -> None:
 
 def _cmd_matrix(args) -> int:
     t = normalize_triple(args.a, args.b, args.c)
-    _note_normalization(args, t)
     a1, a2, a3 = orient_for_matrix(t)
-    print(f"oriented: ({a1}, {a2}, {a3})")
     m = build_heuberger_matrix(a1, a2, a3)
+    q, r, reduced = hermite_reduce_step(m)
+    collapses = []
+    for i, j, sign in COLLAPSE_MOVES:
+        try:
+            collapses.append((i, j, sign, collapse_rows(m, i, j, sign)))
+        except QuotientLoopsError as exc:
+            collapses.append((i, j, sign, exc))
+    # Entries and products grow past b + c, so every number is checked
+    # before the first line is printed.
+    shown = [q, r]
+    quotients = [quotient for *_, quotient in collapses if not isinstance(quotient, Exception)]
+    for matrix in [m, reduced, *quotients]:
+        shown += chain(matrix.label, *matrix.entries)
+        if args.steps:
+            shown += matrix.label_column_products()
+    for value in shown:
+        if _past_str_limit(value):
+            raise InvalidInputError(
+                f"the relation matrix of {_brief(t.distances())} holds {_brief(value)}, "
+                f"which has more digits than the interpreter converts to text"
+            )
+    _note_normalization(args, t)
+    print(f"oriented: ({a1}, {a2}, {a3})")
     print(f"M: {_fmt_matrix(m)}")
     if args.steps:
         _print_stage("build", m)
-    q, r, reduced = hermite_reduce_step(m)
     print(f"reduction: q={q} r={r}")
     print(f"M1: {_fmt_matrix(reduced)}")
     if args.steps:
         _print_stage("reduce", reduced)
-    for i, j, sign in COLLAPSE_MOVES:
-        try:
-            quotient = collapse_rows(m, i, j, sign)
-        except QuotientLoopsError as exc:
-            print(f"collapse rows ({i},{j}) sign {sign:+d}: rejected ({exc})")
+    for i, j, sign, quotient in collapses:
+        if isinstance(quotient, Exception):
+            print(f"collapse rows ({i},{j}) sign {sign:+d}: rejected ({quotient})")
             continue
         conn = ",".join(str(v) for v in quotient.label)
         print(
@@ -245,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_color = sub.add_parser("color", help="construct a periodic coloring")
     _add_triple(p_color)
-    p_color.add_argument("--k", type=int, default=None, help="colors to use (default: the chromatic number)")
+    p_color.add_argument("--k", type=_integer, default=None, help="colors to use (default: the chromatic number)")
     p_color.set_defaults(func=_cmd_color)
 
     p_verify = sub.add_parser("verify", help="check a periodic color word")
     _add_triple(p_verify)
-    p_verify.add_argument("--period", type=int, required=True)
+    p_verify.add_argument("--period", type=_integer, required=True)
     p_verify.add_argument("--colors", type=str, required=True, help="comma-separated color word")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -260,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.set_defaults(func=_cmd_matrix)
 
     p_sweep = sub.add_parser("sweep", help="cross-validate all triples up to a bound")
-    p_sweep.add_argument("--max", type=int, required=True, help="largest distance to sweep")
+    p_sweep.add_argument("--max", type=_integer, required=True, help="largest distance to sweep")
     p_sweep.add_argument("--out", type=str, default=None, help="write the table to a file instead of stdout")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -269,9 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_triple(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument("a", type=int)
-    sub_parser.add_argument("b", type=int)
-    sub_parser.add_argument("c", type=int)
+    sub_parser.add_argument("a", type=_integer)
+    sub_parser.add_argument("b", type=_integer)
+    sub_parser.add_argument("c", type=_integer)
+
+
+def _integer(text: str) -> int:
+    """argparse type for int arguments: text that int() refuses, such as a
+    number past the interpreter's digit limit, is named in a bounded message."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 100 else f"'{text[:12]}...' ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
 
 
 def main(argv: "list[str] | None" = None) -> int:

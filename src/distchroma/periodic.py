@@ -20,10 +20,11 @@ MAX_WORD_LENGTH is ever built.
 A certificate bundles the classification answer with re-verified witnesses
 in both directions: a periodic coloring for the upper bound, and, from
 lower_bound, an edge, a parity argument or an uncolorable segment for the
-lower bound.  A segment is refuted exactly: its vertices that every
-3-coloring forces to share a color are merged first, and the exact solver
-runs on the quotient only if no edge falls inside a class.  The same lower
-bound refutes any number of colors below the chromatic number.
+lower bound.  A segment is refuted by its forced-equal classes alone: the
+vertices that every 3-coloring forces to share a color are merged, and an
+edge inside a class is the whole refutation, so no search runs on this
+side either.  The same lower bound refutes any number of colors below the
+chromatic number.
 """
 
 from dataclasses import dataclass
@@ -31,9 +32,9 @@ from itertools import islice
 from math import gcd
 from operator import eq, ne
 
-from .circulant import backtrack_coloring
+from .circulant import backtrack_coloring  # not called; perfbench --trace 1 rebinds it here
 from .circulant import exists_coloring  # not called; perfbench --trace 1 rebinds it here
-from .errors import CertificationError, InvalidInputError
+from .errors import CertificationError, InvalidInputError, _brief
 from .zhu import ChiBranch, DistanceTriple, chi_formula, is_bipartite
 
 LOWER_TRIVIAL = "trivial"
@@ -75,10 +76,9 @@ class LowerBound:
     kind "trivial": the graph has an edge, so one color cannot suffice.
     kind "parity": not every distance is odd, which yields an odd closed
     walk, so two colors cannot suffice.
-    kind "segment": the vertices 0..length admit no coloring with one color
-    fewer, established by segment_colorable: an edge between vertices that
-    every such coloring forces to share a color, or an exhausted search of
-    the quotient.
+    kind "segment": the vertices 0..length admit no 3-coloring, established
+    by segment_colorable: an edge between two vertices that every
+    3-coloring forces to share a color is the whole refutation.
     """
 
     kind: str
@@ -172,8 +172,8 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
 def _rotation_word(t: DistanceTriple, m: int, j: int, k: int) -> PeriodicColoring:
     if m > MAX_WORD_LENGTH:
         raise InvalidInputError(
-            f"the rotation {k}-coloring word for {t.distances()} has period {m}, "
-            f"above MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
+            f"the rotation {_brief(k)}-coloring word for {_brief(t.distances())} "
+            f"has period {_brief(m)}, above MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
         )
     return PeriodicColoring(m, tuple(k * (j * x % m) // m for x in range(m)), k, m)
 
@@ -293,64 +293,49 @@ def verify_periodic(t: DistanceTriple, pc: PeriodicColoring) -> bool:
 
 
 def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
-    """Whether vertices 0..length with the triple's distances admit a
-    proper k-coloring, decided by the exact solver.
+    """False when vertices 0..length with the triple's distances provably
+    admit no proper 3-coloring; True when the segment is not refuted.
 
     Any induced finite subgraph bounds the chromatic number of the whole
-    graph from below; an uncolorable segment is therefore a lower-bound
-    witness.
+    graph from below; a refuted segment is therefore a lower-bound witness.
 
-    For k = 3 the segment is contracted first.  The two ends of an edge
-    x ~ x + s take two of the three colors, so every vertex adjacent to
-    both takes the third: the vertices x + e with e and e - s in +-D share
-    a color.  One union-find pass over the edges merges them.  Every
-    proper 3-coloring is constant on each class, so an edge inside a class
-    refutes the segment with no search, and otherwise the quotient graph
-    is 3-colorable exactly when the segment is.
+    The two ends of an edge x ~ x + s take two of the three colors, so
+    every vertex adjacent to both takes the third: the vertices x + e with
+    e and e - s in +-D share a color.  One union-find pass over the edges
+    merges them, every proper 3-coloring is constant on each class, and an
+    edge inside a class is the whole refutation; no search runs.  True
+    means only "not refuted", but it has matched 3-colorability, decided by
+    an exact solver, on every coprime triple with c <= 40 and every
+    length <= 2(b + c) + 2.
+
+    Only k = 3 is defined; any other k raises InvalidInputError.
     """
+    if k != 3:
+        raise InvalidInputError(f"segment refutation is defined for 3 colors, not {_brief(k)}")
     distances = set(t.distances())
-    n = length + 1
+    signed = distances | {-s for s in distances}
     # Each vertex points to a lower vertex of its class, or to itself.
-    parent = list(range(n))
-    if k == 3:
-        signed = distances | {-s for s in distances}
-        for s in distances:
-            common = sorted(e for e in signed if e - s in signed)
-            for i, e0 in enumerate(common):
-                for e1 in common[i + 1:]:
-                    # x ~ x + s is an edge, and x + e0 < x + e1 lie in 0..length
-                    for x in range(max(0, -e0), min(length - s, length - e1) + 1):
-                        u, v = x + e0, x + e1
-                        while parent[u] != u:
-                            parent[u] = u = parent[parent[u]]
-                        while parent[v] != v:
-                            parent[v] = v = parent[parent[v]]
-                        if u < v:
-                            parent[v] = u
-                        elif v < u:
-                            parent[u] = v
-    # Pointers only go down, so one ascending pass replaces each pointer by
-    # the number of its class, classes numbered by their least vertex.
-    classes = 0
+    parent = list(range(length + 1))
+    for s in distances:
+        common = sorted(e for e in signed if e - s in signed)
+        for i, e0 in enumerate(common):
+            for e1 in common[i + 1:]:
+                # x ~ x + s is an edge, and x + e0 < x + e1 lie in 0..length
+                for x in range(max(0, -e0), min(length - s, length - e1) + 1):
+                    u, v = x + e0, x + e1
+                    while parent[u] != u:
+                        parent[u] = u = parent[parent[u]]
+                    while parent[v] != v:
+                        parent[v] = v = parent[parent[v]]
+                    if u < v:
+                        parent[v] = u
+                    elif v < u:
+                        parent[u] = v
+    # Pointers only go down, so one ascending pass points every vertex at
+    # the least vertex of its class.
     for v, p in enumerate(parent):
-        if p == v:
-            parent[v] = classes
-            classes += 1
-        else:
-            parent[v] = parent[p]
-    label = parent
-    for s in distances:
-        if any(map(eq, label, islice(label, s, None))):
-            return False  # an edge inside a class
-    adjacency = [[] for _ in range(classes)]
-    for s in distances:
-        for v in range(n - s):
-            p, q = label[v], label[v + s]
-            adjacency[p].append(q)
-            adjacency[q].append(p)
-    for p, near in enumerate(adjacency):
-        adjacency[p] = list(set(near))
-    return backtrack_coloring(adjacency, k) is not None
+        parent[v] = parent[p]
+    return not any(any(map(eq, parent, islice(parent, s, None))) for s in distances)
 
 
 def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
@@ -368,20 +353,22 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
         return LowerBound(LOWER_TRIVIAL)
     if k == 2:
         if is_bipartite(t):
-            raise CertificationError(f"parity lower bound unsound for {t.distances()}")
+            raise CertificationError(f"parity lower bound unsound for {_brief(t.distances())}")
         return LowerBound(LOWER_PARITY)
     if k != 3:
-        raise InvalidInputError(f"no lower-bound witness for {k} colors")
+        raise InvalidInputError(f"no lower-bound witness for {_brief(k)} colors")
     cap = SEGMENT_CAP_FACTOR * (t.b + t.c)
     length = t.b + t.c
     while length <= MAX_WORD_LENGTH:
         if not segment_colorable(t, length, k):
             return LowerBound(LOWER_SEGMENT, length)
         if length >= cap:
-            raise CertificationError(f"no uncolorable segment up to {cap} for {t.distances()}")
+            raise CertificationError(
+                f"no uncolorable segment up to {cap} for {_brief(t.distances())}"
+            )
         length = min(2 * length, cap)
     raise InvalidInputError(
-        f"segment stage for {t.distances()}: L = {length} exceeds "
+        f"segment stage for {_brief(t.distances())}: L = {_brief(length)} exceeds "
         f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
     )
 
@@ -398,10 +385,11 @@ def certify(t: DistanceTriple) -> ChiCertificate:
     upper = find_periodic_coloring(t, chi)
     if upper is None or upper.period > t.b + t.c:
         raise CertificationError(
-            f"no periodic {chi}-coloring with period <= {t.b + t.c} for {t.distances()}"
+            f"no periodic {chi}-coloring with period <= {_brief(t.b + t.c)} "
+            f"for {_brief(t.distances())}"
         )
     if not verify_periodic(t, upper):
         raise CertificationError(
-            f"periodic coloring failed re-verification for {t.distances()}"
+            f"periodic coloring failed re-verification for {_brief(t.distances())}"
         )
     return ChiCertificate(t, chi, branch, upper, lower_bound(t, chi - 1))

@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import permutations
 from math import gcd
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _brief, _past_str_limit
 
 
 class ChiBranch(Enum):
@@ -52,12 +52,20 @@ def normalize_triple(raw_a: int, raw_b: int, raw_c: int) -> DistanceTriple:
 
     Scaling every distance by d splits the graph into d isomorphic copies,
     so the chromatic number depends only on the normalized triple.
+
+    A triple whose b + c is too long for str() (past the interpreter's
+    int-to-str digit limit) is refused, so every number derived from the
+    triple up to b + c can be printed.
     """
     for v in (raw_a, raw_b, raw_c):
         if v < 1:
             raise InvalidInputError("distances must be positive integers")
     g = gcd(raw_a, raw_b, raw_c)
     a, b, c = sorted(v // g for v in (raw_a, raw_b, raw_c))
+    if _past_str_limit(b + c):
+        raise InvalidInputError(
+            f"b + c = {_brief(b + c)} has more digits than the interpreter converts to text"
+        )
     return DistanceTriple(a, b, c, scale=g)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import asdict
@@ -287,6 +288,87 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "Traceback" not in err
     (line,) = err.splitlines()
     assert line.startswith("error: ")
+
+
+# Python 3.10 has no int-to-str digit limit, and 0 switches it off.
+no_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter has no digit limit",
+)
+
+
+def _near_power_of_ten(digits: int) -> tuple[str, str]:
+    """10**digits - 2 and 10**digits - 1 as text, built without str(int)."""
+    return "9" * (digits - 1) + "8", "9" * digits
+
+
+@pytest.mark.parametrize("digits", [4290, 4299, 4300, 4301, 4310])
+def test_huge_numbers_keep_the_exit_code_contract(capsys, digits):
+    # Around the interpreter's 4,300-digit int-to-str limit every command
+    # exits 0, 1 or 2 without a traceback, and no error line spells out a
+    # huge number.  (1, x, x + 1) has chi = 4.
+    x, x1 = _near_power_of_ten(digits)
+    commands = [
+        ["chi", "1", x, x1],
+        ["chi", "1", x, x1, "--json"],
+        ["color", "1", x, x1],
+        ["color", "1", x, x1, "--k", "3"],
+        ["color", "1", x, x1, "--k", "2"],
+        ["color", "1", "2", "3", "--k", x],
+        ["verify", "1", x, x1, "--period", "2", "--colors", "0,1"],
+        ["verify", "1", "2", "3", "--period", x, "--colors", "0,1"],
+        ["matrix", x, x1, "3"],
+        ["matrix", x, x1, "3", "--steps"],
+    ]
+    if digits > getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0:
+        # the parser refuses this bound; one it accepts is swept for as long
+        # as it is large
+        commands.append(["sweep", "--max", x])
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's own refusal
+            code = exc.code
+        assert code in (0, 1, 2), argv
+        assert len(capsys.readouterr().err) < 1024, argv
+
+
+@no_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi", "1", "X", "X1", "--json"],
+        ["color", "1", "X", "X1", "--k", "3"],
+        ["matrix", "X", "X1", "3"],
+    ],
+)
+def test_triple_past_digit_limit_is_refused(capsys, argv):
+    # With x = 10**4300 - 2, b + c has 4,301 digits: one error line names
+    # it by its leading digits and digit count, and nothing is printed.
+    x, x1 = _near_power_of_ten(4300)
+    assert main([{"X": x, "X1": x1}.get(arg, arg) for arg in argv]) == 2
+    assert refusal(capsys) == (
+        "error: b + c = 199999999999... (4301 digits) has more digits than the "
+        "interpreter converts to text"
+    )
+
+
+@no_digit_limit
+@pytest.mark.parametrize("digits, plain, steps", [(1500, 0, 2), (2200, 2, 2)])
+def test_matrix_past_digit_limit_prints_nothing(capsys, digits, plain, steps):
+    # Matrix entries reach about twice the digits of the distances and the
+    # --steps products about three times; a number past the limit is named
+    # briefly before anything is printed.
+    rng = random.Random(1)
+    triple = [str(rng.randrange(10 ** (digits - 1), 10**digits)) for _ in range(3)]
+    for argv, code in ((["matrix", *triple], plain), (["matrix", *triple, "--steps"], steps)):
+        assert main(argv) == code
+        if code == 2:
+            line = refusal(capsys)
+            assert line.startswith("error: the relation matrix of (")
+            assert len(line) < 300
+        else:
+            assert capsys.readouterr().err == ""
 
 
 def test_matrix_normalizes_scaled_input(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distchroma.circulant import backtrack_coloring
-from distchroma.cli import iter_triples
+from distchroma.cli import iter_triples, main
 from distchroma.errors import CertificationError, InvalidInputError
 from distchroma.periodic import (
     ChiCertificate,
@@ -229,8 +229,10 @@ def test_word_is_proper_empty_word():
 def test_segment_golden():
     t = normalize_triple(1, 2, 3)
     assert not segment_colorable(t, 3, 3)  # vertices 0..3 form a 4-clique
-    assert segment_colorable(t, 0, 1)
-    assert segment_colorable(t, 3, 4)
+    # the refutation is defined for three colors only
+    for k in (0, 1, 2, 4):
+        with pytest.raises(InvalidInputError, match="3 colors"):
+            segment_colorable(t, 3, k)
 
 
 def raw_segment_colorable(t, length, k):
@@ -245,21 +247,20 @@ def raw_segment_colorable(t, length, k):
 
 
 def test_segment_contraction_is_exact():
-    # Merging the common neighbors of each edge must neither refute a
-    # 3-colorable segment nor leave an uncolorable one colorable; the other
-    # numbers of colors take no contraction and must agree as well.
+    # Merging the common neighbors of each edge must not refute a
+    # 3-colorable segment, and, with no search behind it, an edge inside a
+    # class must be found on every segment that is not 3-colorable.
     for t in iter_triples(12):
         for length in range(2 * (t.b + t.c) + 3):
-            for k in (1, 2, 3, 4) if t.c <= 8 else (3,):
-                assert segment_colorable(t, length, k) == raw_segment_colorable(t, length, k), (
-                    t.distances(), length, k
-                )
+            assert segment_colorable(t, length, 3) == raw_segment_colorable(t, length, 3), (
+                t.distances(), length
+            )
 
 
 def test_segment_uncolorable_for_1_2_6():
     t = normalize_triple(1, 2, 6)
     assert not segment_colorable(t, 48, 3)
-    assert segment_colorable(t, 48, 4)
+    assert raw_segment_colorable(t, 48, 4)
 
 
 # Lower-bound segment length of certify() for every four-chromatic coprime
@@ -308,13 +309,36 @@ def test_segment_witness_off_the_family(raw):
     assert (cert.chi, cert.lower.kind) == (4, LOWER_SEGMENT)
 
 
+def test_no_program_path_runs_the_solver(monkeypatch, capsys):
+    # Forced-equal classes alone refute every segment that lower_bound
+    # keeps; the exact solver is the tests' reference and nothing more.
+    def solver(adjacency, k):
+        raise AssertionError("the exact solver ran")
+
+    monkeypatch.setattr("distchroma.periodic.backtrack_coloring", solver)
+    monkeypatch.setattr("distchroma.circulant.backtrack_coloring", solver)
+    for t in iter_triples(40):
+        chi, _ = chi_formula(t)
+        assert certify(t).chi == chi
+        for k in range(1, chi):
+            assert main(["color", *map(str, t.distances()), "--k", str(k)]) == 1
+    capsys.readouterr()
+    # at L = b + c the classes leave the segment standing; twice that refutes it
+    cert = certify(normalize_triple(9663, 9851, 19514))
+    assert (cert.lower.kind, cert.lower.length) == (LOWER_SEGMENT, 58730)
+
+
 @settings(deadline=None)
-@given(triples)
-def test_segment_monotone_in_k(t):
-    chi, _ = chi_formula(t)
-    length = t.b + t.c
-    if segment_colorable(t, length, chi - 1):
-        assert segment_colorable(t, length, chi)
+@given(triples, st.sampled_from([1, 2]))
+def test_segment_monotone_in_k(t, multiple):
+    # The refutation agrees with the uncontracted solver at the lengths
+    # lower_bound tries first, and a segment that three colors cover is
+    # covered by four.
+    length = multiple * (t.b + t.c)
+    colorable = raw_segment_colorable(t, length, 3)
+    assert segment_colorable(t, length, 3) == colorable
+    if colorable:
+        assert raw_segment_colorable(t, length, 4)
 
 
 # --------------------------------------------------------- lower bounds
