@@ -29,7 +29,7 @@ from .errors import (
     _past_str_limit,
 )
 from .intmat import COLLAPSE_MOVES, build_heuberger_matrix, collapse_rows, hermite_reduce_step
-from .periodic import certify, find_periodic_coloring, lower_bound, verify_periodic, word_is_proper
+from .periodic import certify, lower_bound, upper_bound, word_is_proper
 from .zhu import (
     ChiBranch,
     DistanceTriple,
@@ -127,12 +127,7 @@ def _cmd_color(args) -> int:
             file=sys.stderr,
         )
         return 1
-    pc = find_periodic_coloring(t, k)
-    if pc is None or not verify_periodic(t, pc):
-        raise CertificationError(
-            f"no verified rotation {_brief(k)}-coloring word with period "
-            f"<= {_brief(t.b + t.c)} for {_brief(t.distances())}"
-        )
+    pc = upper_bound(t, k)
     print(f"period {pc.period}")
     print(" ".join(str(color) for color in pc.colors))
     return 0

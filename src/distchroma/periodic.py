@@ -17,14 +17,15 @@ Euclid-style descent finds a multiplier in O(log m) or proves there is
 none.  No search over colorings runs, and no word longer than
 MAX_WORD_LENGTH is ever built.
 
-A certificate bundles the classification answer with re-verified witnesses
-in both directions: a periodic coloring for the upper bound, and, from
-lower_bound, an edge, a parity argument or an uncolorable segment for the
-lower bound.  A segment is refuted by its forced-equal classes alone: the
-vertices that every 3-coloring forces to share a color are merged, and an
-edge inside a class is the whole refutation, so no search runs on this
-side either.  The same lower bound refutes any number of colors below the
-chromatic number.
+A certificate bundles the classification answer with one witness per
+bound, each from one function: upper_bound gives a re-verified rotation
+word with period at most b + c, and lower_bound gives an edge, a parity
+argument or an uncolorable segment 0..L with L = b + c or 2(b + c).  A
+segment is refuted by its forced-equal classes alone: the vertices that
+every 3-coloring forces to share a color are merged, and an edge inside a
+class is the whole refutation, so no search runs on this side either.  The
+same two functions answer `color --k` for any number of colors, above or
+below the chromatic number.
 """
 
 from dataclasses import dataclass
@@ -40,11 +41,6 @@ from .zhu import ChiBranch, DistanceTriple, chi_formula, is_bipartite
 LOWER_TRIVIAL = "trivial"
 LOWER_PARITY = "parity"
 LOWER_SEGMENT = "segment"
-
-# Segment lengths are scanned from b+c, doubling, up to this multiple of
-# b+c; an uncolorable segment has always appeared well before the cap on
-# every swept instance, and running past it aborts rather than guessing.
-SEGMENT_CAP_FACTOR = 6
 
 # Every modulus up to this one is scanned with every multiplier, which keeps
 # the first word in (m, j) order; past it only the collapse moduli are tried.
@@ -78,7 +74,8 @@ class LowerBound:
     walk, so two colors cannot suffice.
     kind "segment": the vertices 0..length admit no 3-coloring, established
     by segment_colorable: an edge between two vertices that every
-    3-coloring forces to share a color is the whole refutation.
+    3-coloring forces to share a color is the whole refutation.  length is
+    b + c or 2(b + c), the first of the two that is refuted.
     """
 
     kind: str
@@ -338,10 +335,28 @@ def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
     return not any(any(map(eq, parent, islice(parent, s, None))) for s in distances)
 
 
+def upper_bound(t: DistanceTriple, k: int) -> PeriodicColoring:
+    """The witness that the triple's graph has a proper k-coloring: the
+    word from find_periodic_coloring, checked to have period at most b + c
+    and re-verified by verify_periodic.
+
+    Raises CertificationError, naming the triple, when either check fails,
+    and InvalidInputError for a word longer than MAX_WORD_LENGTH.
+    """
+    pc = find_periodic_coloring(t, k)
+    if pc is None or pc.period > t.b + t.c or not verify_periodic(t, pc):
+        raise CertificationError(
+            f"no verified rotation {_brief(k)}-coloring word with period "
+            f"<= {_brief(t.b + t.c)} for {_brief(t.distances())}"
+        )
+    return pc
+
+
 def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
     """The witness that the triple's graph has no proper k-coloring, for
-    1 <= k < chi: an edge, parity, or the first uncolorable segment 0..L
-    for L = b + c, doubling up to SEGMENT_CAP_FACTOR * (b + c).
+    1 <= k < chi: an edge, parity, or an uncolorable segment 0..L, tried at
+    L = b + c and then at L = 2(b + c).  Every chi = 4 triple measured is
+    refuted at one of those two lengths.
 
     Raises CertificationError when the witness fails, which for k < chi
     would contradict the classification, and InvalidInputError for k
@@ -357,39 +372,25 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
         return LowerBound(LOWER_PARITY)
     if k != 3:
         raise InvalidInputError(f"no lower-bound witness for {_brief(k)} colors")
-    cap = SEGMENT_CAP_FACTOR * (t.b + t.c)
-    length = t.b + t.c
-    while length <= MAX_WORD_LENGTH:
+    for length in (t.b + t.c, 2 * (t.b + t.c)):
+        if length > MAX_WORD_LENGTH:
+            raise InvalidInputError(
+                f"segment stage for {_brief(t.distances())}: L = {_brief(length)} exceeds "
+                f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
+            )
         if not segment_colorable(t, length, k):
             return LowerBound(LOWER_SEGMENT, length)
-        if length >= cap:
-            raise CertificationError(
-                f"no uncolorable segment up to {cap} for {_brief(t.distances())}"
-            )
-        length = min(2 * length, cap)
-    raise InvalidInputError(
-        f"segment stage for {_brief(t.distances())}: L = {_brief(length)} exceeds "
-        f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
+    raise CertificationError(
+        f"no uncolorable segment at L = {_brief(t.b + t.c)} or {_brief(length)} "
+        f"for {_brief(t.distances())}"
     )
 
 
 def certify(t: DistanceTriple) -> ChiCertificate:
-    """Classify the triple and wrap the answer in re-verified witnesses.
-
-    The upper witness is a rotation chi-coloring word with period at most
-    b + c; the lower witness is lower_bound(t, chi - 1).  Failure of either
+    """Classify the triple and wrap the answer in its two witnesses:
+    upper_bound(t, chi) and lower_bound(t, chi - 1).  Failure of either
     would contradict the classification, so it raises CertificationError
     rather than degrade.
     """
     chi, branch = chi_formula(t)
-    upper = find_periodic_coloring(t, chi)
-    if upper is None or upper.period > t.b + t.c:
-        raise CertificationError(
-            f"no periodic {chi}-coloring with period <= {_brief(t.b + t.c)} "
-            f"for {_brief(t.distances())}"
-        )
-    if not verify_periodic(t, upper):
-        raise CertificationError(
-            f"periodic coloring failed re-verification for {_brief(t.distances())}"
-        )
-    return ChiCertificate(t, chi, branch, upper, lower_bound(t, chi - 1))
+    return ChiCertificate(t, chi, branch, upper_bound(t, chi), lower_bound(t, chi - 1))

@@ -69,7 +69,7 @@ def test_criterion_1_full_cross_validation(desk_triples):
             assert not all(v % 2 == 1 for v in t.distances())
         else:
             assert cert.lower.kind == LOWER_SEGMENT
-            assert cert.lower.length <= 6 * (t.b + t.c)
+            assert cert.lower.length in (t.b + t.c, 2 * (t.b + t.c))
             assert not segment_colorable(t, cert.lower.length, chi - 1)
     _passed(1, "full cross-validation, c <= 12")
 

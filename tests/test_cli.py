@@ -13,7 +13,7 @@ import pytest
 
 import distchroma
 from distchroma.cli import iter_triples, main, sweep_rows
-from distchroma.errors import InvalidInputError
+from distchroma.errors import CertificationError, InvalidInputError
 from distchroma.periodic import ChiCertificate, PeriodicColoring, certify
 from distchroma.zhu import normalize_triple
 
@@ -167,7 +167,7 @@ def test_color_scaled_k_below_chi(capsys, k, code, out, err):
 
 
 def test_color_missing_word_is_a_certification_failure(capsys, monkeypatch):
-    monkeypatch.setattr("distchroma.cli.find_periodic_coloring", lambda t, k: None)
+    monkeypatch.setattr("distchroma.periodic.find_periodic_coloring", lambda t, k: None)
     assert main(["color", "1", "2", "4"]) == 1
     assert refusal(capsys) == (
         "error: no verified rotation 3-coloring word with period <= 6 for (1, 2, 4)"
@@ -178,7 +178,7 @@ def test_color_improper_word_is_a_certification_failure(capsys, monkeypatch):
     # The word is re-verified before it is printed: "0 0" puts both ends of
     # every odd distance on color 0.
     monkeypatch.setattr(
-        "distchroma.cli.find_periodic_coloring",
+        "distchroma.periodic.find_periodic_coloring",
         lambda t, k: PeriodicColoring(2, (0, 0), 2, 2),
     )
     assert main(["color", "1", "3", "5"]) == 1
@@ -426,6 +426,24 @@ def test_sweep_invalid_input_exits_2(capsys, monkeypatch):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error:")
+
+
+def test_sweep_records_a_failed_certificate_as_a_disagreeing_row(capsys, monkeypatch):
+    expected = [asdict(row) for row in sweep_rows(3)]
+
+    def fail_one(t):
+        if t.distances() == (1, 2, 3):
+            raise CertificationError("no certificate for (1, 2, 3)")
+        return certify(t)
+
+    monkeypatch.setattr("distchroma.cli.certify", fail_one)
+    assert main(["sweep", "--max", "3", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = next(row for row in expected if (row["a"], row["b"], row["c"]) == (1, 2, 3))
+    failed.update(chi_certified=None, period=None, agree=False)
+    assert rows == expected
+    assert main(["sweep", "--max", "3"]) == 1
+    assert "1,2,3,4,,,192,false" in capsys.readouterr().out.splitlines()
 
 
 def test_sweep_writes_file(tmp_path, capsys):

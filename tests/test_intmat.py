@@ -241,6 +241,9 @@ def test_reduce_step_rejects_wrong_shape():
     quotient = collapse_rows(LabeledMatrix(((2, -3), (-1, 0), (0, 1)), (1, 2, 3), 0), 1, 2, -1)
     with pytest.raises(InvalidInputError):
         hermite_reduce_step(quotient)
+    zero_pivot = LabeledMatrix(((1, 0), (-1, 0), (0, 0)), (1, 1, 2), 0)  # builder shape, pivot 0
+    with pytest.raises(InvalidInputError, match="zero pivot below the leading entry"):
+        hermite_reduce_step(zero_pivot)
 
 
 @given(triples)

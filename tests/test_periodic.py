@@ -21,6 +21,7 @@ from distchroma.periodic import (
     find_periodic_coloring,
     lower_bound,
     segment_colorable,
+    upper_bound,
     verify_periodic,
     word_is_proper,
 )
@@ -372,6 +373,19 @@ def test_segment_envelope(monkeypatch):
         certify(normalize_triple(1, 2, 999))
 
 
+def test_lower_bound_refuses_when_neither_length_is_refuted(monkeypatch):
+    tried = []
+
+    def never_refuted(t, length, k):
+        tried.append(length)
+        return True
+
+    monkeypatch.setattr("distchroma.periodic.segment_colorable", never_refuted)
+    with pytest.raises(CertificationError, match=r"no uncolorable segment .* for \(2, 3, 5\)$"):
+        lower_bound(normalize_triple(2, 3, 5), 3)
+    assert tried == [8, 16]
+
+
 # --------------------------------------------------------- certificates
 
 def test_certify_all_odd():
@@ -396,7 +410,7 @@ def test_certify_four_colors_uses_segment():
     assert cert.upper.period == 4
     assert cert.upper.period <= 8
     assert cert.lower.kind == LOWER_SEGMENT
-    assert cert.lower.length == 8 <= 6 * 8
+    assert cert.lower.length == 8 == cert.triple.b + cert.triple.c
     assert not segment_colorable(cert.triple, cert.lower.length, 3)
 
 
@@ -439,3 +453,27 @@ def test_certify_error_is_loud(monkeypatch):
     monkeypatch.setattr(periodic_mod, "find_periodic_coloring", lambda t, k: None)
     with pytest.raises(CertificationError):
         periodic_mod.certify(normalize_triple(1, 2, 4))
+
+
+def test_upper_bound_is_the_search_word():
+    for t in iter_triples(8):
+        chi, _ = chi_formula(t)
+        for k in (chi, chi + 1):
+            assert upper_bound(t, k) == find_periodic_coloring(t, k)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        None,
+        PeriodicColoring(10, (0, 1) * 5, 2, 10),  # proper, but longer than b + c = 8
+        PeriodicColoring(2, (0, 0), 2, 2),  # short, but improper
+    ],
+)
+def test_upper_bound_refuses_a_missing_long_or_improper_word(monkeypatch, word):
+    monkeypatch.setattr("distchroma.periodic.find_periodic_coloring", lambda t, k: word)
+    with pytest.raises(
+        CertificationError,
+        match=r"^no verified rotation 2-coloring word with period <= 8 for \(1, 3, 5\)$",
+    ):
+        upper_bound(normalize_triple(1, 3, 5), 2)
