@@ -2,24 +2,28 @@
 traces, and the sweep harness.
 
 Exit codes are a stable contract: 0 success, 1 a verification or
-consistency failure, 2 invalid input.  Subcommands raise on failure and never
-print ``error:`` themselves; ``main`` is the one place that maps errors to
-exit codes: ``InvalidInputError`` exits 2 and ``CertificationError`` exits
-1, each with one ``error:`` line on stderr.  Output that cannot be written
-because the reader closed standard output (``distchroma ... | head``) is
-a failure too: it exits 1 with an ``error:`` line and no traceback.
+consistency failure, 2 invalid input.  The parser, ``parse_args``, is the one
+place that maps usage errors to exit 2: it reads the command line against
+the ``COMMANDS`` table and raises ``SystemExit(2)`` after a usage line and
+one ``distchroma [<cmd>]: error:`` line on stderr.  Subcommands raise on
+failure and never print ``error:`` themselves; ``main`` is the one place
+that maps library errors to exit codes: ``InvalidInputError`` exits 2 and
+``CertificationError`` exits 1, each with one ``error:`` line on stderr.
+Output that cannot be written because the reader closed standard output
+(``distchroma ... | head``) is a failure too: it exits 1 with an ``error:``
+line and no traceback.
 """
 
-import argparse
 import csv
-import functools
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain
 from math import gcd
+from types import SimpleNamespace
 
 from .errors import (
     CertificationError,
@@ -245,69 +249,256 @@ def _cmd_sweep(args) -> int:
     return 0 if all(row.agree for row in rows) else 1
 
 
-# Built on the first call rather than at import, then shared by every call.
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="distchroma",
-        description=(
-            "Chromatic numbers of integer distance graphs with three "
-            "distances: classification, certified periodic colorings, and "
-            "relation-matrix traces."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_chi = sub.add_parser("chi", help="chromatic number of the {a,b,c} distance graph")
-    _add_triple(p_chi)
-    p_chi.add_argument("--json", action="store_true", help="emit the full certificate as JSON")
-    p_chi.set_defaults(func=_cmd_chi)
-
-    p_color = sub.add_parser("color", help="construct a periodic coloring")
-    _add_triple(p_color)
-    p_color.add_argument("--k", type=_integer, default=None, help="colors to use (default: the chromatic number)")
-    p_color.set_defaults(func=_cmd_color)
-
-    p_verify = sub.add_parser("verify", help="check a periodic color word")
-    _add_triple(p_verify)
-    p_verify.add_argument("--period", type=_integer, required=True)
-    p_verify.add_argument("--colors", type=str, required=True, help="comma-separated color word")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_matrix = sub.add_parser("matrix", help="show the relation-matrix pipeline")
-    _add_triple(p_matrix)
-    p_matrix.add_argument("--steps", action="store_true", help="trace each stage as JSON with annihilation checks")
-    p_matrix.set_defaults(func=_cmd_matrix)
-
-    p_sweep = sub.add_parser("sweep", help="cross-validate all triples up to a bound")
-    p_sweep.add_argument("--max", type=_integer, required=True, help="largest distance to sweep")
-    p_sweep.add_argument("--out", type=str, default=None, help="write the table to a file instead of stdout")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    return parser
-
-
-def _add_triple(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument("a", type=_integer)
-    sub_parser.add_argument("b", type=_integer)
-    sub_parser.add_argument("c", type=_integer)
-
-
 def _integer(text: str) -> int:
-    """argparse type for int arguments: text that int() refuses, such as a
-    number past the interpreter's digit limit, is named in a bounded message."""
+    """Convert an int argument: text that int() refuses, such as a number
+    past the interpreter's digit limit, is named in a bounded message."""
     try:
         return int(text)
     except ValueError:
         shown = repr(text) if len(text) <= 100 else f"'{text[:12]}...' ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+        raise ValueError(f"invalid int value: {shown}") from None
+
+
+DESCRIPTION = (
+    "Chromatic numbers of integer distance graphs with three distances:\n"
+    "classification, certified periodic colorings, and relation-matrix traces."
+)
+
+# One entry per subcommand: (help, handler, positionals, options).  Every
+# positional is an integer.  An option is (flag, type, default, required,
+# help); its destination is the flag without the dashes, and its type is
+# _integer, str, a tuple of choices, or None for a flag that stores True.
+# A required option has the default None, which no given value equals.
+_TRIPLE = ("a", "b", "c")
+COMMANDS = {
+    "chi": (
+        "chromatic number of the {a,b,c} distance graph",
+        _cmd_chi,
+        _TRIPLE,
+        (("--json", None, False, False, "emit the full certificate as JSON"),),
+    ),
+    "color": (
+        "construct a periodic coloring",
+        _cmd_color,
+        _TRIPLE,
+        (("--k", _integer, None, False, "colors to use (default: the chromatic number)"),),
+    ),
+    "verify": (
+        "check a periodic color word",
+        _cmd_verify,
+        _TRIPLE,
+        (
+            ("--period", _integer, None, True, None),
+            ("--colors", str, None, True, "comma-separated color word"),
+        ),
+    ),
+    "matrix": (
+        "show the relation-matrix pipeline",
+        _cmd_matrix,
+        _TRIPLE,
+        (("--steps", None, False, False, "trace each stage as JSON with annihilation checks"),),
+    ),
+    "sweep": (
+        "cross-validate all triples up to a bound",
+        _cmd_sweep,
+        (),
+        (
+            ("--max", _integer, None, True, "largest distance to sweep"),
+            ("--out", str, None, False, "write the table to a file instead of stdout"),
+            ("--format", ("csv", "json"), "csv", False, None),
+        ),
+    ),
+}
+
+_HELP = ("--help", None, None, False, "show this help message and exit")
+# Every spelling of every option a command line reads; None is the part
+# before the subcommand.
+_TOP = {"-h": _HELP, "--help": _HELP}
+_OPTIONS = {
+    None: _TOP,
+    **{name: {**_TOP, **{o[0]: o for o in entry[3]}} for name, entry in COMMANDS.items()},
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _spelling(option) -> str:
+    flag, kind = option[:2]
+    if kind is None:
+        return flag
+    return f"{flag} {{{','.join(kind)}}}" if type(kind) is tuple else f"{flag} {flag[2:].upper()}"
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: distchroma [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, positionals, options = COMMANDS[command]
+    words = [f"usage: distchroma {command} [-h]"]
+    words += (_spelling(o) if o[3] else f"[{_spelling(o)}]" for o in options)
+    return " ".join([*words, *positionals])
+
+
+def _help(command) -> str:
+    """Usage, what the command does, and one line per subcommand or option."""
+    if command is None:
+        about, rows = DESCRIPTION, [(name, entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        about, _, _, options = COMMANDS[command]
+        rows = [(_spelling(o), o[4] or "") for o in options]
+    rows.append(("-h, --help", _HELP[4]))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
+    return "\n".join([_usage(command), "", about, "", *lines])
+
+
+def _refuse(command, message):
+    """Print the usage line and one error line on stderr, and exit 2."""
+    prog = "distchroma" if command is None else f"distchroma {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _classify(command, token, table):
+    """How a token before any ``--`` reads: None for a positional, or
+    (option, attached value) with option None for an unknown option.
+
+    A long option may be any unique prefix of its name and take its value
+    after ``=``; the short ``-h`` takes one attached.  A token that names no
+    option is a positional if it looks like a negative number or holds a
+    space.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in table:
+        return table[token], None
+    if token[1] != "-":
+        option = table.get(token[:2])
+        if option is not None:
+            return option, token[3:] if token[2] == "=" else token[2:]
+    else:
+        name, eq, value = token.partition("=")
+        matches = [name] if name in table else [flag for flag in table if flag.startswith(name)]
+        if len(matches) > 1:
+            _refuse(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return table[matches[0]], value if eq else None
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _flag(command, option, value) -> None:
+    """Refuse a value attached to a flag; print the help for -h."""
+    if value is not None:
+        names = "-h/--help" if option is _HELP else option[0]
+        _refuse(command, f"argument {names}: ignored explicit argument {value!r}")
+    if option is _HELP:
+        print(_help(command))
+        raise SystemExit(0)
+
+
+def _convert(command, name, kind, text):
+    if type(kind) is tuple:
+        if text not in kind:
+            choices = ", ".join(map(repr, kind))
+            _refuse(command, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return kind(text)
+    except ValueError as exc:
+        _refuse(command, f"argument {name}: {exc}")
+
+
+def _integers(command, positionals, words) -> dict:
+    """The first words, converted, by the positionals they fill in order."""
+    return {name: _convert(command, name, _integer, word) for name, word in zip(positionals, words)}
+
+
+def _parse_command(command, tokens):
+    _, handler, positionals, options = COMMANDS[command]
+    table = _OPTIONS[command]
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    # Every token before "--" is read first, so an ambiguous option is
+    # refused wherever it stands; every token after it is a positional.
+    found = [_classify(command, token, table) for token in tokens[:cut]]
+    args = {o[0][2:]: o[2] for o in options}
+    words, extras = [], []
+    settled = 0  # the words before the last option
+    i = 0
+    while i < cut:
+        token, read = tokens[i], found[i]
+        i += 1
+        if read is None:
+            words.append(token)
+            continue
+        option, value = read
+        if option is None:
+            extras.append(token)
+            continue
+        settled = len(words)
+        flag, kind = option[:2]
+        if kind is None:
+            if option is _HELP:  # the positionals before -h are converted first
+                _integers(command, positionals, words)
+            _flag(command, option, value)
+            args[flag[2:]] = True
+        else:
+            if value is None:
+                if i == cut or found[i] is not None:
+                    _refuse(command, f"argument {flag}: expected one argument")
+                value = tokens[i]
+                i += 1
+            args[flag[2:]] = _convert(command, flag, kind, value)
+    words += tokens[cut + 1 :]
+    # "--" is dropped only when a positional takes a word after the last
+    # option; otherwise it is an unrecognized argument.
+    if cut < len(tokens) and not settled < min(len(words), len(positionals)):
+        extras.append("--")
+    args.update(_integers(command, positionals, words))
+    extras += words[len(positionals) :]
+    missing = list(positionals[len(words) :])
+    missing += [o[0] for o in options if o[3] and args[o[0][2:]] is None]
+    if missing:
+        _refuse(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _refuse(command, f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**args)
+
+
+def parse_args(argv: "list[str]"):
+    """The handler and the arguments that a command line names.
+
+    Options may stand before, between or after the positionals, and the
+    last value of a repeated option wins.  ``-h`` prints the help and exits
+    0; any other refusal prints a usage line and one error line on stderr
+    and exits 2.  Options of ``distchroma`` itself stand before the
+    subcommand; a token there that names none is refused only after the
+    subcommand has been read, so ``distchroma --x chi -h`` prints help.
+    """
+    extras = []
+    for i, token in enumerate(argv):
+        read = None if token == "--" else _classify(None, token, _TOP)
+        if read is None:
+            break
+        option, value = read
+        if option is None:
+            extras.append(token)
+        else:
+            _flag(None, option, value)
+    else:
+        _refuse(None, "the following arguments are required: command")
+    if token not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _refuse(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+    parsed = _parse_command(token, argv[i + 1 :])
+    if extras:
+        _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
+    return parsed
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        code = handler(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
     except (InvalidInputError, CertificationError) as exc:
