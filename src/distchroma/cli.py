@@ -11,7 +11,12 @@ that maps library errors to exit codes: ``InvalidInputError`` exits 2 and
 ``CertificationError`` exits 1, each with one ``error:`` line on stderr.
 Output that cannot be written because the reader closed standard output
 (``distchroma ... | head``) is a failure too: it exits 1 with an ``error:``
-line and no traceback.
+line and no traceback.  Every piece of user text in an error line passes
+through ``_shown``, so one line stays short whatever the input.
+
+``chi --json`` prints its certificate through ``_to_json``, which writes
+exactly what ``json.dumps(cert.to_json_dict(), indent=2)`` would, without
+the pure-Python encoder that ``json`` runs whenever ``indent`` is set.
 """
 
 import csv
@@ -22,6 +27,7 @@ import re
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from types import SimpleNamespace
 
@@ -99,6 +105,29 @@ def sweep_rows(max_c: int) -> list[SweepRow]:
     return rows
 
 
+def _to_json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for an int, a str, a
+    list of ints, or a dict with str keys whose values are any of these;
+    anything else, bool and None included, raises TypeError."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if kind is list and set(map(type, value)) <= {int}:
+        # one join over the ints: a word may hold 10**6 of them
+        body, brackets = map(int.__repr__, value), "[]"
+    elif kind is dict and set(map(type, value)) <= {str}:
+        body = [f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"{kind.__name__} value not written as JSON")
+    if not value:
+        return brackets
+    return f"{brackets[0]}{inner}{f',{inner}'.join(body)}{indent}{brackets[1]}"
+
+
 def _note_normalization(args, t: DistanceTriple) -> None:
     if t.scale > 1:
         print(
@@ -109,7 +138,7 @@ def _note_normalization(args, t: DistanceTriple) -> None:
 def _cmd_chi(args) -> int:
     t = normalize_triple(args.a, args.b, args.c)
     if args.json:
-        print(json.dumps(certify(t).to_json_dict(), indent=2))
+        print(_to_json(certify(t).to_json_dict()))
         return 0
     _note_normalization(args, t)
     chi, branch = chi_formula(t)
@@ -243,10 +272,24 @@ def _cmd_sweep(args) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         except OSError as exc:
-            raise InvalidInputError(f"cannot write {args.out}: {exc}") from None
+            shown = _shown(args.out)
+            # the error names the path again unless it is shown abbreviated
+            reason = exc if shown == args.out else exc.strerror
+            raise InvalidInputError(f"cannot write {shown}: {reason}") from None
     else:
         print(payload, end="")
     return 0 if all(row.agree for row in rows) else 1
+
+
+def _shown(text: str, quote: bool = False) -> str:
+    """User text as an error line shows it: as given, or as its repr when
+    quote is set, if it has at most 100 characters, all printable;
+    otherwise by the repr of its first 12 characters, with "..." when cut,
+    and its length, so one error line stays short whatever the input."""
+    if len(text) <= 100 and text.isprintable():
+        return repr(text) if quote else text
+    head = text if len(text) <= 12 else text[:12] + "..."
+    return f"{head!r} ({len(text)} characters)"
 
 
 def _integer(text: str) -> int:
@@ -255,8 +298,7 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 100 else f"'{text[:12]}...' ({len(text)} characters)"
-        raise ValueError(f"invalid int value: {shown}") from None
+        raise ValueError(f"invalid int value: {_shown(text, quote=True)}") from None
 
 
 DESCRIPTION = (
@@ -378,7 +420,7 @@ def _classify(command, token, table):
         name, eq, value = token.partition("=")
         matches = [name] if name in table else [flag for flag in table if flag.startswith(name)]
         if len(matches) > 1:
-            _refuse(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+            _refuse(command, f"ambiguous option: {_shown(token)} could match {', '.join(matches)}")
         if matches:
             return table[matches[0]], value if eq else None
     if _NEGATIVE_NUMBER.match(token) or " " in token:
@@ -390,7 +432,7 @@ def _flag(command, option, value) -> None:
     """Refuse a value attached to a flag; print the help for -h."""
     if value is not None:
         names = "-h/--help" if option is _HELP else option[0]
-        _refuse(command, f"argument {names}: ignored explicit argument {value!r}")
+        _refuse(command, f"argument {names}: ignored explicit argument {_shown(value, quote=True)}")
     if option is _HELP:
         print(_help(command))
         raise SystemExit(0)
@@ -400,7 +442,8 @@ def _convert(command, name, kind, text):
     if type(kind) is tuple:
         if text not in kind:
             choices = ", ".join(map(repr, kind))
-            _refuse(command, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+            shown = _shown(text, quote=True)
+            _refuse(command, f"argument {name}: invalid choice: {shown} (choose from {choices})")
         return text
     try:
         return kind(text)
@@ -460,7 +503,7 @@ def _parse_command(command, tokens):
     if missing:
         _refuse(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:
-        _refuse(command, f"unrecognized arguments: {' '.join(extras)}")
+        _refuse(command, f"unrecognized arguments: {_shown(' '.join(extras))}")
     return handler, SimpleNamespace(**args)
 
 
@@ -488,10 +531,11 @@ def parse_args(argv: "list[str]"):
         _refuse(None, "the following arguments are required: command")
     if token not in COMMANDS:
         choices = ", ".join(map(repr, COMMANDS))
-        _refuse(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+        shown = _shown(token, quote=True)
+        _refuse(None, f"argument command: invalid choice: {shown} (choose from {choices})")
     parsed = _parse_command(token, argv[i + 1 :])
     if extras:
-        _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
+        _refuse(None, f"unrecognized arguments: {_shown(' '.join(extras))}")
     return parsed
 
 

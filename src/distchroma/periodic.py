@@ -62,7 +62,8 @@ class PeriodicColoring:
     modulus_origin: int  # quotient modulus that produced the word; equals period
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
+        if type(self.colors) is not tuple:
+            object.__setattr__(self, "colors", tuple(self.colors))
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def _rotation_word(t: DistanceTriple, m: int, j: int, k: int) -> PeriodicColorin
             f"the rotation {_brief(k)}-coloring word for {_brief(t.distances())} "
             f"has period {_brief(m)}, above MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
         )
-    return PeriodicColoring(m, tuple(k * (j * x % m) // m for x in range(m)), k, m)
+    return PeriodicColoring(m, tuple([k * (j * x % m) // m for x in range(m)]), k, m)
 
 
 def _collapse_multiplier(m: int, k: int, r1: int, r2: int) -> "int | None":
@@ -284,8 +285,9 @@ def verify_periodic(t: DistanceTriple, pc: PeriodicColoring) -> bool:
     colors, k = pc.colors, pc.k
     if type(k) is not int or len(colors) != pc.period or not colors:
         return False
-    if set(map(type, colors)) != {int} or min(colors) < 0 or max(colors) >= k:
-        return False
+    for color in colors:
+        if type(color) is not int or not 0 <= color < k:
+            return False
     return word_is_proper(t.distances(), colors)
 
 

@@ -311,3 +311,44 @@ def test_readme_cli_example(capsys, monkeypatch, tmp_path, argv, code):
     except SystemExit as exc:
         result = exc.code
     assert result == code
+
+
+# --------------------------------------------------- bounded error lines
+
+TOKENS_TO_BOUND = {"long": "9" * 5000, "newline": "a\nb"}
+
+
+# Each refusal that echoes user text, as its command line for a token and
+# whether a usage line comes first: the parser's refusals print one, and
+# sweep's unwritable --out prints only its error line.
+REFUSALS = [
+    pytest.param(lambda token: ["chi", "1", "2", "3", token], True, id="unrecognized"),
+    pytest.param(lambda token: [f"-{token}", "chi", "1", "2", "3"], True, id="unrecognized-top"),
+    pytest.param(lambda token: [token], True, id="command-choice"),
+    pytest.param(lambda token: ["sweep", "--max", "3", "--format", token], True, id="format-choice"),
+    pytest.param(lambda token: ["chi", "1", "2", "3", f"--={token}"], True, id="ambiguous"),
+    pytest.param(lambda token: ["chi", "1", "2", "3", f"--json={token}"], True, id="explicit-argument"),
+    pytest.param(lambda token: ["chi", "1", "2", token], True, id="int"),
+    pytest.param(
+        lambda token: ["sweep", "--max", "3", "--out", f"/nonexistent/{token}"], False, id="cannot-write"
+    ),
+]
+
+
+@pytest.mark.parametrize("token", TOKENS_TO_BOUND)
+@pytest.mark.parametrize("command, usage", REFUSALS)
+def test_error_lines_are_bounded(capsys, token, command, usage):
+    try:
+        code = main(command(TOKENS_TO_BOUND[token]))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    if usage:
+        assert len(lines) == 2 and lines[0].startswith("usage: distchroma")
+    else:
+        assert len(lines) == 1
+    assert re.match(r"(distchroma( \w+)?: )?error: ", lines[-1])
+    assert all(len(line.encode()) < 1024 for line in lines), lines

@@ -209,6 +209,16 @@ def test_verify_periodic_golden():
     assert not verify_periodic(forged.triple, forged.upper)
 
 
+def test_verify_periodic_refuses_bools():
+    # (False, True) is a proper word for (1, 3, 5) read as (0, 1), and
+    # k = True reads as 1, but neither is an int
+    t = normalize_triple(1, 3, 5)
+    assert verify_periodic(t, PeriodicColoring(2, (0, 1), 2, 2))
+    assert not verify_periodic(t, PeriodicColoring(2, (False, True), 2, 2))
+    assert not verify_periodic(t, PeriodicColoring(2, (0, True), 2, 2))
+    assert not verify_periodic(t, PeriodicColoring(2, (0, 0), True, 2))
+    assert not verify_periodic(t, PeriodicColoring(2, (0, 1), True, 2))
+
 def test_verify_periodic_rejects_malformed_word():
     t = normalize_triple(1, 2, 3)
     assert not verify_periodic(t, PeriodicColoring(4, (0, 1, 2), 3, 4))
