@@ -3,12 +3,14 @@ traces, and the sweep harness.
 
 Exit codes are a stable contract: 0 success, 1 a verification or
 consistency failure, 2 invalid input.  The parser, ``parse_args``, is the one
-place that maps usage errors to exit 2: it reads the command line against
-the ``COMMANDS`` table and raises ``SystemExit(2)`` after a usage line and
-one ``distchroma [<cmd>]: error:`` line on stderr.  Subcommands raise on
-failure and never print ``error:`` themselves; ``main`` is the one place
-that maps library errors to exit codes: ``InvalidInputError`` exits 2 and
-``CertificationError`` exits 1, each with one ``error:`` line on stderr.
+place that maps usage errors to exit 2: it reads the command line once, left
+to right, by the grammar that README's ``## CLI`` section states, against the
+``COMMANDS`` table.  Help exits 0 as soon as it is read; a refusal raises
+``SystemExit(2)`` after a usage line and one ``distchroma [<cmd>]: error:``
+line on stderr.  Subcommands raise on failure and never print ``error:``
+themselves; ``main`` is the one place that maps library errors to exit
+codes: ``InvalidInputError`` exits 2 and ``CertificationError`` exits 1,
+each with one ``error:`` line on stderr.
 Output that cannot be written because the reader closed standard output
 (``distchroma ... | head``) is a failure too: it exits 1 with an ``error:``
 line and no traceback.  Every piece of user text in an error line passes
@@ -19,11 +21,9 @@ exactly what ``json.dumps(cert.to_json_dict(), indent=2)`` would, without
 the pure-Python encoder that ``json`` runs whenever ``indent`` is set.
 """
 
-import csv
 import io
 import json
 import os
-import re
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain
@@ -260,6 +260,8 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         payload = json.dumps([asdict(row) for row in rows], indent=2) + "\n"
     else:
+        import csv  # only the sweep writes CSV
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(field.name for field in fields(SweepRow))
@@ -353,14 +355,8 @@ COMMANDS = {
 }
 
 _HELP = ("--help", None, None, False, "show this help message and exit")
-# Every spelling of every option a command line reads; None is the part
-# before the subcommand.
-_TOP = {"-h": _HELP, "--help": _HELP}
-_OPTIONS = {
-    None: _TOP,
-    **{name: {**_TOP, **{o[0]: o for o in entry[3]}} for name, entry in COMMANDS.items()},
-}
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+# Every long option each subcommand reads, by its full name.
+_OPTIONS = {name: {o[0]: o for o in (*entry[3], _HELP)} for name, entry in COMMANDS.items()}
 
 
 def _spelling(option) -> str:
@@ -392,50 +388,16 @@ def _help(command) -> str:
     return "\n".join([_usage(command), "", about, "", *lines])
 
 
+def _exit_with_help(command):
+    print(_help(command))
+    raise SystemExit(0)
+
+
 def _refuse(command, message):
     """Print the usage line and one error line on stderr, and exit 2."""
     prog = "distchroma" if command is None else f"distchroma {command}"
     print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
-
-
-def _classify(command, token, table):
-    """How a token before any ``--`` reads: None for a positional, or
-    (option, attached value) with option None for an unknown option.
-
-    A long option may be any unique prefix of its name and take its value
-    after ``=``; the short ``-h`` takes one attached.  A token that names no
-    option is a positional if it looks like a negative number or holds a
-    space.
-    """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in table:
-        return table[token], None
-    if token[1] != "-":
-        option = table.get(token[:2])
-        if option is not None:
-            return option, token[3:] if token[2] == "=" else token[2:]
-    else:
-        name, eq, value = token.partition("=")
-        matches = [name] if name in table else [flag for flag in table if flag.startswith(name)]
-        if len(matches) > 1:
-            _refuse(command, f"ambiguous option: {_shown(token)} could match {', '.join(matches)}")
-        if matches:
-            return table[matches[0]], value if eq else None
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _flag(command, option, value) -> None:
-    """Refuse a value attached to a flag; print the help for -h."""
-    if value is not None:
-        names = "-h/--help" if option is _HELP else option[0]
-        _refuse(command, f"argument {names}: ignored explicit argument {_shown(value, quote=True)}")
-    if option is _HELP:
-        print(_help(command))
-        raise SystemExit(0)
 
 
 def _convert(command, name, kind, text):
@@ -451,92 +413,63 @@ def _convert(command, name, kind, text):
         _refuse(command, f"argument {name}: {exc}")
 
 
-def _integers(command, positionals, words) -> dict:
-    """The first words, converted, by the positionals they fill in order."""
-    return {name: _convert(command, name, _integer, word) for name, word in zip(positionals, words)}
+def parse_args(argv: "list[str]"):
+    """The handler and the arguments that a command line names, read left
+    to right by the grammar that README's ``## CLI`` section states.
 
-
-def _parse_command(command, tokens):
+    Help exits 0 as soon as it is read; any other refusal prints a usage
+    line and one error line on stderr and exits 2.
+    """
+    if not argv:
+        _refuse(None, "the following arguments are required: command")
+    command = argv[0]
+    if command == "-h" or command[:3] == "--h" and "--help".startswith(command):
+        _exit_with_help(None)
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        shown = _shown(command, quote=True)
+        _refuse(None, f"argument command: invalid choice: {shown} (choose from {choices})")
     _, handler, positionals, options = COMMANDS[command]
     table = _OPTIONS[command]
-    cut = tokens.index("--") if "--" in tokens else len(tokens)
-    # Every token before "--" is read first, so an ambiguous option is
-    # refused wherever it stands; every token after it is a positional.
-    found = [_classify(command, token, table) for token in tokens[:cut]]
     args = {o[0][2:]: o[2] for o in options}
-    words, extras = [], []
-    settled = 0  # the words before the last option
-    i = 0
-    while i < cut:
-        token, read = tokens[i], found[i]
-        i += 1
-        if read is None:
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            words += tokens  # every later token, which ends the loop
+        elif token == "-h":
+            _exit_with_help(command)
+        elif token[:2] != "--":
             words.append(token)
-            continue
-        option, value = read
-        if option is None:
-            extras.append(token)
-            continue
-        settled = len(words)
-        flag, kind = option[:2]
-        if kind is None:
-            if option is _HELP:  # the positionals before -h are converted first
-                _integers(command, positionals, words)
-            _flag(command, option, value)
-            args[flag[2:]] = True
         else:
-            if value is None:
-                if i == cut or found[i] is not None:
+            name, eq, value = token.partition("=")
+            matches = [name] if name in table else [flag for flag in table if flag.startswith(name)]
+            if len(matches) > 1:
+                _refuse(command, f"ambiguous option: {_shown(token)} could match {', '.join(matches)}")
+            if not matches:
+                _refuse(command, f"unrecognized arguments: {_shown(token)}")
+            flag, kind = table[matches[0]][:2]
+            if kind is None:
+                if eq:
+                    names = "-h/--help" if flag == "--help" else flag
+                    _refuse(command, f"argument {names}: ignored explicit argument {_shown(value, quote=True)}")
+                if flag == "--help":
+                    _exit_with_help(command)
+                args[flag[2:]] = True
+                continue
+            if not eq:
+                value = next(tokens, "--")  # a missing value reads like an option
+                if value[:2] == "--":
                     _refuse(command, f"argument {flag}: expected one argument")
-                value = tokens[i]
-                i += 1
             args[flag[2:]] = _convert(command, flag, kind, value)
-    words += tokens[cut + 1 :]
-    # "--" is dropped only when a positional takes a word after the last
-    # option; otherwise it is an unrecognized argument.
-    if cut < len(tokens) and not settled < min(len(words), len(positionals)):
-        extras.append("--")
-    args.update(_integers(command, positionals, words))
-    extras += words[len(positionals) :]
+    args.update({name: _convert(command, name, _integer, word) for name, word in zip(positionals, words)})
     missing = list(positionals[len(words) :])
     missing += [o[0] for o in options if o[3] and args[o[0][2:]] is None]
     if missing:
         _refuse(command, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _refuse(command, f"unrecognized arguments: {_shown(' '.join(extras))}")
+    if len(words) > len(positionals):
+        _refuse(command, f"unrecognized arguments: {_shown(' '.join(words[len(positionals) :]))}")
     return handler, SimpleNamespace(**args)
-
-
-def parse_args(argv: "list[str]"):
-    """The handler and the arguments that a command line names.
-
-    Options may stand before, between or after the positionals, and the
-    last value of a repeated option wins.  ``-h`` prints the help and exits
-    0; any other refusal prints a usage line and one error line on stderr
-    and exits 2.  Options of ``distchroma`` itself stand before the
-    subcommand; a token there that names none is refused only after the
-    subcommand has been read, so ``distchroma --x chi -h`` prints help.
-    """
-    extras = []
-    for i, token in enumerate(argv):
-        read = None if token == "--" else _classify(None, token, _TOP)
-        if read is None:
-            break
-        option, value = read
-        if option is None:
-            extras.append(token)
-        else:
-            _flag(None, option, value)
-    else:
-        _refuse(None, "the following arguments are required: command")
-    if token not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        shown = _shown(token, quote=True)
-        _refuse(None, f"argument command: invalid choice: {shown} (choose from {choices})")
-    parsed = _parse_command(token, argv[i + 1 :])
-    if extras:
-        _refuse(None, f"unrecognized arguments: {_shown(' '.join(extras))}")
-    return parsed
 
 
 def main(argv: "list[str] | None" = None) -> int:

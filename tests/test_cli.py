@@ -290,6 +290,14 @@ def test_closed_stdout_exits_1_without_traceback():
     assert line.startswith("error: ")
 
 
+def test_importing_the_cli_leaves_csv_unloaded():
+    # Only the sweep writes CSV, so csv loads inside it.
+    src = str(Path(distchroma.__file__).resolve().parents[1])
+    check = "import sys, distchroma.cli; sys.exit('csv' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0
+
+
 # Python 3.10 has no int-to-str digit limit, and 0 switches it off.
 no_digit_limit = pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
