@@ -11,44 +11,60 @@ here leaves the represented graph unchanged.  All arithmetic is exact.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 from operator import add, mul, sub
 
 from .errors import InvalidInputError, QuotientLoopsError
 
+# Sets a field of a frozen instance, as the dataclass's own __init__ does.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, slots=True)
 class LabeledMatrix:
     """Integer matrix plus generator labels and ambient modulus.
 
     ``entries`` holds 2 or 3 row tuples of width 1 or 2, ``label`` gives the
     group image of each row's generator, and ``modulus`` is 0 over the
-    integers or n >= 2 over Z_n (labels then reduced into [0, n)).
-    Construction requires every entry, label and the modulus to be an int
-    and checks label annihilation: label . column == 0 modulo the modulus
-    for every column.
+    integers or n >= 2 over Z_n (labels then reduced into [0, n)).  Rows and
+    label given as other sequences are stored as tuples.  Every matrix,
+    each reduced matrix and quotient included, is checked in full by the
+    constructor, in this order: every entry and label is an int, the
+    shape, the label length, the modulus, reduced labels, and label
+    annihilation (label . column == 0 modulo the modulus for every column).
+    Equality, hashing, ``repr`` and immutability are the dataclass's.
     """
 
     entries: tuple[tuple[int, ...], ...]
     label: tuple[int, ...]
     modulus: int = 0
 
-    def __post_init__(self):
-        entries = tuple(map(tuple, self.entries))
-        label = tuple(self.label)
-        modulus = self.modulus
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "label", label)
+    def __init__(self, entries, label, modulus=0):
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+        for row in entries:
+            if type(row) is not tuple:
+                entries = tuple(map(tuple, entries))
+                break
+        if type(label) is not tuple:
+            label = tuple(label)
         # Exact int types, as verify_periodic requires: a coerced 1.7 would
         # pass the annihilation check as 1, and bool is an int subclass.
-        if not set(map(type, chain(label, *entries))) <= {int}:
-            raise InvalidInputError("matrix entries and labels must be integers")
+        for v in label:
+            if type(v) is not int:
+                raise InvalidInputError("matrix entries and labels must be integers")
+        for row in entries:
+            for v in row:
+                if type(v) is not int:
+                    raise InvalidInputError("matrix entries and labels must be integers")
         if len(entries) not in (2, 3):
             raise InvalidInputError("matrix must have 2 or 3 rows")
-        widths = set(map(len, entries))
-        if len(widths) != 1 or widths.pop() not in (1, 2):
+        width = len(entries[0])
+        if width not in (1, 2):
             raise InvalidInputError("matrix must have 1 or 2 columns of equal width")
+        for row in entries:
+            if len(row) != width:
+                raise InvalidInputError("matrix must have 1 or 2 columns of equal width")
         if len(label) != len(entries):
             raise InvalidInputError("label length must match the row count")
         # A bool modulus passes isinstance and falls to the range message.
@@ -56,12 +72,19 @@ class LabeledMatrix:
             raise InvalidInputError("modulus must be an integer")
         if type(modulus) is not int or modulus < 0 or modulus == 1:
             raise InvalidInputError("modulus must be 0 or at least 2")
-        if modulus and not (0 <= min(label) and max(label) < modulus):
-            raise InvalidInputError("labels must be reduced into [0, modulus)")
-        for j, column in enumerate(zip(*entries)):
-            total = sum(map(mul, label, column))
+        if modulus:
+            for lab in label:
+                if not 0 <= lab < modulus:
+                    raise InvalidInputError("labels must be reduced into [0, modulus)")
+        for j in range(width):
+            total = 0
+            for lab, row in zip(label, entries):
+                total += lab * row[j]
             if (total % modulus if modulus else total) != 0:
                 raise InvalidInputError(f"label does not annihilate column {j}")
+        _set(self, "entries", entries)
+        _set(self, "label", label)
+        _set(self, "modulus", modulus)
 
     def label_column_products(self) -> tuple[int, ...]:
         """Raw dot products label . column, one per column, before reduction."""
@@ -133,20 +156,41 @@ def collapse_rows(m: LabeledMatrix, i: int, j: int, sign: int) -> LabeledMatrix:
     (add) reduces modulo |label_i - label_j|.  Surviving labels are reduced
     into [0, n); the result is the relation matrix of the circulant on Z_n
     with those labels.  Quotients that would place a loop on the graph are
-    rejected: n < 2, or n dividing any label entry.
+    rejected with QuotientLoopsError: n < 2, or n dividing any label entry.
     """
-    if len(m.entries) != 3 or m.modulus != 0:
-        raise InvalidInputError("row collapse requires a 3-row matrix over the integers")
+    _require_collapsible(m)
     if sign not in (-1, 1):
         raise InvalidInputError("sign must be -1 or +1")
     if i == j or not (0 <= i < 3 and 0 <= j < 3):
         raise InvalidInputError("row indices must be distinct and in range")
     n = abs(m.label[i] - sign * m.label[j])
+    loop = _loop(m.label, n)
+    if loop is not None:
+        raise QuotientLoopsError(loop)
+    return _quotient(m, i, j, sign, n)
+
+
+def _require_collapsible(m: LabeledMatrix) -> None:
+    """Row collapses apply to 3-row matrices over the integers only."""
+    if len(m.entries) != 3 or m.modulus != 0:
+        raise InvalidInputError("row collapse requires a 3-row matrix over the integers")
+
+
+def _loop(label: tuple[int, ...], n: int) -> "str | None":
+    """Why reducing modulo n puts a loop on the graph with these labels, or
+    None when the quotient is loop-free: n must be at least 2 and divide
+    no label."""
     if n < 2:
-        raise QuotientLoopsError(f"quotient modulus {n} is degenerate")
-    for lab in m.label:
+        return f"quotient modulus {n} is degenerate"
+    for lab in label:
         if lab % n == 0:
-            raise QuotientLoopsError(f"distance {lab} vanishes modulo {n}")
+            return f"distance {lab} vanishes modulo {n}"
+    return None
+
+
+def _quotient(m: LabeledMatrix, i: int, j: int, sign: int, n: int) -> LabeledMatrix:
+    """Rows i and j of m merged into row i, over Z_n, checked by the
+    constructor like any other matrix."""
     merged = tuple(map(add if sign == 1 else sub, m.entries[i], m.entries[j]))
     k = 3 - i - j
     if i < k:
@@ -163,11 +207,12 @@ COLLAPSE_MOVES = ((0, 1, -1), (0, 1, 1), (0, 2, -1), (0, 2, 1), (1, 2, -1), (1, 
 
 def admissible_collapses(m: LabeledMatrix) -> list[tuple[int, int, int, LabeledMatrix]]:
     """Every loop-free row collapse of ``m`` as (i, j, sign, quotient), in
-    COLLAPSE_MOVES order."""
-    found = []
-    for i, j, sign in COLLAPSE_MOVES:
-        try:
-            found.append((i, j, sign, collapse_rows(m, i, j, sign)))
-        except QuotientLoopsError:
-            continue
-    return found
+    COLLAPSE_MOVES order: the moves for which collapse_rows would not raise
+    QuotientLoopsError, with the quotients it would return."""
+    _require_collapsible(m)
+    label = m.label
+    return [
+        (i, j, sign, _quotient(m, i, j, sign, n))
+        for i, j, sign in COLLAPSE_MOVES
+        if _loop(label, n := abs(label[i] - sign * label[j])) is None
+    ]

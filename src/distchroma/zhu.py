@@ -15,6 +15,9 @@ from math import gcd
 
 from .errors import InvalidInputError, _brief, _past_str_limit
 
+# Sets a field of a frozen instance, as the dataclass's own __init__ does.
+_set = object.__setattr__
+
 
 class ChiBranch(Enum):
     """Which classification case produced the chromatic number."""
@@ -25,23 +28,34 @@ class ChiBranch(Enum):
     OTHERWISE = "OTHERWISE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class DistanceTriple:
     """Normalized distance set: 1 <= a <= b <= c, coprime, with ``scale``
-    recording the gcd divided out of the raw input."""
+    recording the gcd divided out of the raw input.
+
+    The constructor requires every field to be an int (``bool`` refused)
+    and then checks the order, the gcd and the scale.  Equality, hashing,
+    ``repr`` and immutability are the dataclass's.
+    """
 
     a: int
     b: int
     c: int
     scale: int = 1
 
-    def __post_init__(self):
-        if not (1 <= self.a <= self.b <= self.c):
+    def __init__(self, a, b, c, scale=1):
+        if type(a) is not int or type(b) is not int or type(c) is not int or type(scale) is not int:
+            raise InvalidInputError("distances and scale must be integers")
+        if not (1 <= a <= b <= c):
             raise InvalidInputError("distances must satisfy 1 <= a <= b <= c")
-        if gcd(self.a, self.b, self.c) != 1:
+        if gcd(a, b, c) != 1:
             raise InvalidInputError("distances must be coprime; normalize first")
-        if self.scale < 1:
+        if scale < 1:
             raise InvalidInputError("scale must be positive")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "scale", scale)
 
     def distances(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import FrozenInstanceError
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from distchroma.errors import InvalidInputError, QuotientLoopsError
 from distchroma.intmat import (
+    COLLAPSE_MOVES,
     LabeledMatrix,
     admissible_collapses,
     build_heuberger_matrix,
@@ -148,6 +150,21 @@ _MESSAGE_REDUCED = r"labels must be reduced into \[0, modulus\)"
 def test_constructor_error_precedence(entries, label, modulus, message):
     with pytest.raises(InvalidInputError, match=message):
         LabeledMatrix(entries, label, modulus)
+
+
+def test_matrix_value_semantics():
+    m = build_heuberger_matrix(1, 2, 3)
+    # Rows and label given as lists are stored as tuples.
+    same = LabeledMatrix([[1, 0], [0, -1], [-3, 2]], [3, 2, 1])
+    assert same.entries == ((1, 0), (0, -1), (-3, 2)) and same.label == (3, 2, 1)
+    assert type(same.entries) is tuple and all(type(row) is tuple for row in same.entries)
+    assert type(same.label) is tuple
+    assert same == m and hash(same) == hash(m) and len({m, same}) == 1
+    assert m != LabeledMatrix(m.entries, (-3, -2, -1))
+    assert repr(m) == "LabeledMatrix(entries=((1, 0), (0, -1), (-3, 2)), label=(3, 2, 1), modulus=0)"
+    for field in ("entries", "label", "modulus"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, field, getattr(m, field))
 
 
 def test_json_shape():
@@ -318,6 +335,43 @@ def test_collapse_modulus_formula(t):
         assert len(quotient.entries) == 2
         assert all(0 <= lab < expected for lab in quotient.label)
         assert annihilation_residues(quotient) == [0, 0]
+
+
+def _collapses_by_raising(m: LabeledMatrix) -> list:
+    # The moves collapse_rows does not reject, checked against the loop
+    # rule recomputed here: a rejected move has n < 2 or n dividing a label.
+    found = []
+    for i, j, sign in COLLAPSE_MOVES:
+        n = abs(m.label[i] - sign * m.label[j])
+        loops = n < 2 or any(lab % n == 0 for lab in m.label)
+        try:
+            quotient = collapse_rows(m, i, j, sign)
+        except QuotientLoopsError:
+            assert loops
+            continue
+        assert not loops
+        found.append((i, j, sign, quotient))
+    return found
+
+
+def _oriented_matrices(t):
+    m = build_heuberger_matrix(*orient_for_matrix(t))
+    return m, hermite_reduce_step(m)[2]
+
+
+def test_collapse_paths_agree_small_triples():
+    for c in range(1, 31):
+        for b in range(1, c + 1):
+            for a in range(1, b + 1):
+                if gcd(a, b, c) == 1:
+                    for m in _oriented_matrices(normalize_triple(a, b, c)):
+                        assert admissible_collapses(m) == _collapses_by_raising(m)
+
+
+@given(st.tuples(*[st.integers(1, 10**15)] * 3).map(lambda raw: normalize_triple(*raw)))
+def test_collapse_paths_agree_large_triples(t):
+    for m in _oriented_matrices(t):
+        assert admissible_collapses(m) == _collapses_by_raising(m)
 
 
 @settings(max_examples=60)

@@ -1,5 +1,6 @@
 """Tests for triple normalization, orientation, and the classification."""
 
+from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 from math import gcd
 
@@ -53,6 +54,25 @@ def test_triple_constructor_validates():
         DistanceTriple(2, 4, 6)
     with pytest.raises(InvalidInputError):
         DistanceTriple(1, 2, 3, scale=0)
+    # Exact int types: True would reach a certificate's JSON as true, and a
+    # float or a string would escape as a raw TypeError from the checks.
+    for args in ((True, 2, 3), (1, True, 3), (1, 2, 3.0), (1.5, 2, 3), ("1", 2, 3)):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            DistanceTriple(*args)
+    for scale in (True, 2.0, "2"):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            DistanceTriple(1, 2, 3, scale=scale)
+
+
+def test_triple_value_semantics():
+    t = DistanceTriple(2, 3, 7, scale=5)
+    assert t == DistanceTriple(2, 3, 7, 5) and hash(t) == hash(DistanceTriple(2, 3, 7, 5))
+    assert t != DistanceTriple(2, 3, 7) and len({t, DistanceTriple(2, 3, 7, 5)}) == 1
+    assert repr(t) == "DistanceTriple(a=2, b=3, c=7, scale=5)"
+    for field in ("a", "b", "c", "scale"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, field, 1)
+    assert t.distances() == (2, 3, 7) and t.scale == 5
 
 
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30))
