@@ -36,7 +36,7 @@ from .errors import (
     InvalidInputError,
     QuotientLoopsError,
     _brief,
-    _past_str_limit,
+    _past_max_digits,
 )
 from .intmat import COLLAPSE_MOVES, build_heuberger_matrix, collapse_rows, hermite_reduce_step
 from .periodic import certify, lower_bound, upper_bound, word_is_proper
@@ -219,7 +219,7 @@ def _cmd_matrix(args) -> int:
         if args.steps:
             shown += matrix.label_column_products()
     for value in shown:
-        if _past_str_limit(value):
+        if _past_max_digits(value):
             raise InvalidInputError(
                 f"the relation matrix of {_brief(t.distances())} holds {_brief(value)}, "
                 f"which has more digits than the interpreter converts to text"

@@ -1,7 +1,6 @@
 """Exception types shared across the package, and how their messages show
 integers of any length."""
 
-import sys
 from math import log10
 
 
@@ -17,12 +16,17 @@ class CertificationError(RuntimeError):
     """Raised when certificate construction cannot validate its own witnesses."""
 
 
-def _past_str_limit(n: int) -> bool:
-    """Whether str(n) has more digits than the interpreter converts
-    (sys.get_int_max_str_digits(); Python 3.10 has no such limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # 10**limit > 2**(3 * limit), so a shorter number cannot reach it
-    return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10**limit
+# The most decimal digits an integer may have where the package reads it
+# from text or writes it as text: Python's default int-to-str limit, fixed
+# here, so answers do not depend on the interpreter or on
+# sys.set_int_max_str_digits().
+MAX_DIGITS = 4300
+_PAST_MAX_DIGITS = 10**MAX_DIGITS  # the least integer with more digits
+
+
+def _past_max_digits(n: int) -> bool:
+    """Whether n has more than MAX_DIGITS decimal digits."""
+    return abs(n) >= _PAST_MAX_DIGITS
 
 
 def _brief(value) -> str:

@@ -36,7 +36,7 @@ from operator import eq, ne
 from .circulant import backtrack_coloring  # not called; perfbench --trace 1 rebinds it here
 from .circulant import exists_coloring  # not called; perfbench --trace 1 rebinds it here
 from .errors import CertificationError, InvalidInputError, _brief
-from .zhu import ChiBranch, DistanceTriple, chi_formula, is_bipartite
+from .zhu import ChiBranch, DistanceTriple, _slot_setters, chi_formula, is_bipartite
 
 LOWER_TRIVIAL = "trivial"
 LOWER_PARITY = "parity"
@@ -52,18 +52,27 @@ SMALL_MODULUS_LIMIT = 64
 MAX_WORD_LENGTH = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class PeriodicColoring:
-    """Finite color word encoding a coloring of the integers by residue."""
+    """Finite color word encoding a coloring of the integers by residue.
+
+    Colors given as another sequence are stored as a tuple.  Equality,
+    hashing, ``repr`` and immutability are the dataclass's.
+    """
 
     period: int
     colors: tuple[int, ...]
     k: int
     modulus_origin: int  # quotient modulus that produced the word; equals period
 
-    def __post_init__(self):
-        if type(self.colors) is not tuple:
-            object.__setattr__(self, "colors", tuple(self.colors))
+    def __init__(self, period, colors, k, modulus_origin):
+        _set_period(self, period)
+        _set_colors(self, colors if type(colors) is tuple else tuple(colors))
+        _set_k(self, k)
+        _set_modulus_origin(self, modulus_origin)
+
+
+_set_period, _set_colors, _set_k, _set_modulus_origin = _slot_setters(PeriodicColoring)
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,13 @@ class LowerBound:
     length: "int | None" = None
 
 
-@dataclass(frozen=True)
+# The two witnesses that carry no length; frozen, so every certificate can
+# share them.
+_TRIVIAL = LowerBound(LOWER_TRIVIAL)
+_PARITY = LowerBound(LOWER_PARITY)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class ChiCertificate:
     """Chromatic number with witnesses for both bounds."""
 
@@ -93,21 +108,29 @@ class ChiCertificate:
     upper: PeriodicColoring
     lower: LowerBound
 
+    def __init__(self, triple, chi, branch, upper, lower):
+        _set_triple(self, triple)
+        _set_chi(self, chi)
+        _set_branch(self, branch)
+        _set_upper(self, upper)
+        _set_lower(self, lower)
+
     def to_json_dict(self) -> dict:
-        out = {
-            "a": self.triple.a,
-            "b": self.triple.b,
-            "c": self.triple.c,
-            "scale": self.triple.scale,
+        t, upper, lower = self.triple, self.upper, self.lower
+        witness = {"type": lower.kind}
+        if lower.length is not None:
+            witness["L"] = lower.length
+        return {
+            "a": t.a,
+            "b": t.b,
+            "c": t.c,
+            "scale": t.scale,
             "chi": self.chi,
             "branch": self.branch.value,
-            "period": self.upper.period,
-            "colors": list(self.upper.colors),
-            "lower": {"type": self.lower.kind},
+            "period": upper.period,
+            "colors": list(upper.colors),
+            "lower": witness,
         }
-        if self.lower.length is not None:
-            out["lower"]["L"] = self.lower.length
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChiCertificate":
@@ -120,6 +143,9 @@ class ChiCertificate:
         )
         lower = LowerBound(data["lower"]["type"], data["lower"].get("L"))
         return cls(triple, data["chi"], ChiBranch(data["branch"]), upper, lower)
+
+
+_set_triple, _set_chi, _set_branch, _set_upper, _set_lower = _slot_setters(ChiCertificate)
 
 
 def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | None":
@@ -141,7 +167,7 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
     """
     if k < 1:
         return None
-    a, b, c = t.distances()
+    a, b, c = t.a, t.b, t.c
     bound = b + c
     for m in range(2, min(bound, SMALL_MODULUS_LIMIT) + 1):
         ra, rb, rc = a % m, b % m, c % m
@@ -288,7 +314,7 @@ def verify_periodic(t: DistanceTriple, pc: PeriodicColoring) -> bool:
     for color in colors:
         if type(color) is not int or not 0 <= color < k:
             return False
-    return word_is_proper(t.distances(), colors)
+    return word_is_proper((t.a, t.b, t.c), colors)
 
 
 def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
@@ -367,11 +393,11 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
     if k < 1:
         raise InvalidInputError("number of colors must be positive")
     if k == 1:
-        return LowerBound(LOWER_TRIVIAL)
+        return _TRIVIAL
     if k == 2:
         if is_bipartite(t):
             raise CertificationError(f"parity lower bound unsound for {_brief(t.distances())}")
-        return LowerBound(LOWER_PARITY)
+        return _PARITY
     if k != 3:
         raise InvalidInputError(f"no lower-bound witness for {_brief(k)} colors")
     for length in (t.b + t.c, 2 * (t.b + t.c)):

@@ -8,15 +8,12 @@ triples, evaluates the classification with an explicit branch witness,
 and orients triples for the relation-matrix pipeline.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import permutations
 from math import gcd
 
-from .errors import InvalidInputError, _brief, _past_str_limit
-
-# Sets a field of a frozen instance, as the dataclass's own __init__ does.
-_set = object.__setattr__
+from .errors import InvalidInputError, _brief, _past_max_digits
 
 
 class ChiBranch(Enum):
@@ -52,13 +49,23 @@ class DistanceTriple:
             raise InvalidInputError("distances must be coprime; normalize first")
         if scale < 1:
             raise InvalidInputError("scale must be positive")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "scale", scale)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_scale(self, scale)
 
     def distances(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
+
+
+def _slot_setters(cls) -> list:
+    """The setter of each field's slot, in field order.  They write the
+    fields of a frozen instance, whose own __setattr__ refuses, at less
+    cost than object.__setattr__."""
+    return [getattr(cls, f.name).__set__ for f in fields(cls)]
+
+
+_set_a, _set_b, _set_c, _set_scale = _slot_setters(DistanceTriple)
 
 
 def normalize_triple(raw_a: int, raw_b: int, raw_c: int) -> DistanceTriple:
@@ -67,20 +74,20 @@ def normalize_triple(raw_a: int, raw_b: int, raw_c: int) -> DistanceTriple:
     Scaling every distance by d splits the graph into d isomorphic copies,
     so the chromatic number depends only on the normalized triple.
 
-    A triple whose b + c is too long for str() (past the interpreter's
-    int-to-str digit limit) is refused, so every number derived from the
-    triple up to b + c can be printed.
+    Every distance must be an int (``bool`` refused) and positive.  A
+    triple whose b + c has more than MAX_DIGITS digits is refused, so every
+    number derived from the triple up to b + c can be printed.  Each
+    refusal raises InvalidInputError.
     """
-    for v in (raw_a, raw_b, raw_c):
-        if v < 1:
-            raise InvalidInputError("distances must be positive integers")
+    if not (type(raw_a) is type(raw_b) is type(raw_c) is int and raw_a > 0 < raw_b and raw_c > 0):
+        raise InvalidInputError("distances must be positive integers")
     g = gcd(raw_a, raw_b, raw_c)
-    a, b, c = sorted(v // g for v in (raw_a, raw_b, raw_c))
-    if _past_str_limit(b + c):
+    a, b, c = sorted((raw_a // g, raw_b // g, raw_c // g))
+    if _past_max_digits(b + c):
         raise InvalidInputError(
             f"b + c = {_brief(b + c)} has more digits than the interpreter converts to text"
         )
-    return DistanceTriple(a, b, c, scale=g)
+    return DistanceTriple(a, b, c, g)
 
 
 def orient_for_matrix(t: DistanceTriple) -> tuple[int, int, int]:
@@ -106,8 +113,8 @@ def chi_formula(t: DistanceTriple) -> tuple[int, ChiBranch]:
     The four cases are checked in a fixed order, so a triple matching more
     than one (such as (1, 2, 3)) reports the earliest branch.
     """
-    a, b, c = t.distances()
-    if a % 2 == b % 2 == c % 2 == 1:
+    a, b, c = t.a, t.b, t.c
+    if a & b & c & 1:
         return (2, ChiBranch.ALL_ODD)
     if a == 1 and b == 2 and c % 3 == 0:
         return (4, ChiBranch.A1_B2_3DIVC)
@@ -121,4 +128,4 @@ def is_bipartite(t: DistanceTriple) -> bool:
 
     Equivalently: both column sums of the triple's relation matrix are even.
     """
-    return all(v % 2 == 1 for v in t.distances())
+    return t.a & t.b & t.c & 1 == 1
