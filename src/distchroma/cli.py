@@ -32,6 +32,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from .errors import (
+    MAX_DIGITS,
     CertificationError,
     InvalidInputError,
     QuotientLoopsError,
@@ -295,12 +296,15 @@ def _shown(text: str, quote: bool = False) -> str:
 
 
 def _integer(text: str) -> int:
-    """Convert an int argument: text that int() refuses, such as a number
-    past the interpreter's digit limit, is named in a bounded message."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"invalid int value: {_shown(text, quote=True)}") from None
+    """Convert an int argument: text that int() refuses, or that holds more
+    than MAX_DIGITS digits, is named in a bounded message.  Longer text is
+    refused before int() reads it, whatever the interpreter's own limit."""
+    if len(text) <= MAX_DIGITS or sum(map(str.isdecimal, text)) <= MAX_DIGITS:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(f"invalid int value: {_shown(text, quote=True)}")
 
 
 DESCRIPTION = (

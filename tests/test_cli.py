@@ -13,7 +13,7 @@ import pytest
 
 import distchroma
 from distchroma.cli import iter_triples, main, sweep_rows
-from distchroma.errors import CertificationError, InvalidInputError
+from distchroma.errors import MAX_DIGITS, CertificationError, InvalidInputError
 from distchroma.periodic import ChiCertificate, PeriodicColoring, certify
 from distchroma.zhu import normalize_triple
 
@@ -298,13 +298,6 @@ def test_importing_the_cli_leaves_csv_unloaded():
     assert proc.returncode == 0
 
 
-# Python 3.10 has no int-to-str digit limit, and 0 switches it off.
-no_digit_limit = pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-    reason="the interpreter has no digit limit",
-)
-
-
 def _near_power_of_ten(digits: int) -> tuple[str, str]:
     """10**digits - 2 and 10**digits - 1 as text, built without str(int)."""
     return "9" * (digits - 1) + "8", "9" * digits
@@ -328,7 +321,7 @@ def test_huge_numbers_keep_the_exit_code_contract(capsys, digits):
         ["matrix", x, x1, "3"],
         ["matrix", x, x1, "3", "--steps"],
     ]
-    if digits > getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0:
+    if digits > MAX_DIGITS:
         # the parser refuses this bound; one it accepts is swept for as long
         # as it is large
         commands.append(["sweep", "--max", x])
@@ -341,7 +334,6 @@ def test_huge_numbers_keep_the_exit_code_contract(capsys, digits):
         assert len(capsys.readouterr().err) < 1024, argv
 
 
-@no_digit_limit
 @pytest.mark.parametrize(
     "argv",
     [
@@ -361,7 +353,36 @@ def test_triple_past_digit_limit_is_refused(capsys, argv):
     )
 
 
-@no_digit_limit
+@pytest.mark.parametrize("limit", [0, 10_000])
+def test_digit_bound_does_not_follow_the_interpreter(capsys, limit):
+    # MAX_DIGITS decides what is refused, whether the interpreter's own
+    # int-to-str limit is off (0) or raised past it.
+    x, x1 = _near_power_of_ten(4300)
+    setting = getattr(sys, "set_int_max_str_digits", None)  # before 3.10.7: none
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if setting:
+        setting(limit)
+    try:
+        assert main(["chi", "1", x, x1, "--json"]) == 2
+        assert refusal(capsys) == (
+            "error: b + c = 199999999999... (4301 digits) has more digits than the "
+            "interpreter converts to text"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--max", "9" * (MAX_DIGITS + 1)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --max: invalid int value: '999999999999...' (4301 characters)\n"
+        )
+        with pytest.raises(InvalidInputError, match="4301 digits"):
+            normalize_triple(1, int(x), int(x1))
+        t = normalize_triple(1, 10 ** (MAX_DIGITS - 1), 10 ** (MAX_DIGITS - 1) + 1)
+        assert (t.b + t.c).bit_length() == 14282  # 4,300 digits
+    finally:
+        if setting:
+            setting(saved)
+
+
 @pytest.mark.parametrize("digits, plain, steps", [(1500, 0, 2), (2200, 2, 2)])
 def test_matrix_past_digit_limit_prints_nothing(capsys, digits, plain, steps):
     # Matrix entries reach about twice the digits of the distances and the

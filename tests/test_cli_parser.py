@@ -5,7 +5,6 @@ import contextlib
 import io
 import re
 import shlex
-import sys
 from pathlib import Path
 
 import pytest
@@ -170,20 +169,7 @@ GRAMMAR = [
     (["chi", "-hh"], 2),
 ]
 
-# Python 3.10 has no int-to-str digit limit, so it converts HUGE.
-needs_digit_limit = pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-    reason="the interpreter has no digit limit",
-)
-
-
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        pytest.param(argv, expected, marks=[needs_digit_limit] if any(HUGE in t for t in argv) else [])
-        for argv, expected in GRAMMAR + SAMPLE
-    ],
-)
+@pytest.mark.parametrize("argv, expected", GRAMMAR + SAMPLE)
 def test_golden_outcome(argv, expected):
     assert outcome(argv) == expected
 
