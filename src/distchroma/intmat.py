@@ -40,14 +40,17 @@ class LabeledMatrix:
     modulus: int = 0
 
     def __init__(self, entries, label, modulus=0):
-        if type(entries) is not tuple:
-            entries = tuple(entries)
-        for row in entries:
-            if type(row) is not tuple:
-                entries = tuple(map(tuple, entries))
-                break
-        if type(label) is not tuple:
-            label = tuple(label)
+        try:
+            if type(entries) is not tuple:
+                entries = tuple(entries)
+            for row in entries:
+                if type(row) is not tuple:
+                    entries = tuple(map(tuple, entries))
+                    break
+            if type(label) is not tuple:
+                label = tuple(label)
+        except TypeError:  # something that is not a sequence
+            raise InvalidInputError("matrix rows and label must be sequences") from None
         # Exact int types, as verify_periodic requires: a coerced 1.7 would
         # pass the annihilation check as 1, and bool is an int subclass.
         for v in label:
@@ -109,6 +112,8 @@ def build_heuberger_matrix(a1: int, a2: int, a3: int) -> LabeledMatrix:
     annihilated by the relation a1*(a3*u) + a2*(a3*v) = a3*g, the second
     identically.
     """
+    if type(a1) is not int or type(a2) is not int or type(a3) is not int:
+        raise InvalidInputError("oriented distances must be integers")
     if a1 == 0 or a2 == 0 or a3 == 0:
         raise InvalidInputError("oriented distances must be nonzero")
     if gcd(a1, a2, a3) != 1:
@@ -159,9 +164,9 @@ def collapse_rows(m: LabeledMatrix, i: int, j: int, sign: int) -> LabeledMatrix:
     rejected with QuotientLoopsError: n < 2, or n dividing any label entry.
     """
     _require_collapsible(m)
-    if sign not in (-1, 1):
+    if type(sign) is not int or sign not in (-1, 1):
         raise InvalidInputError("sign must be -1 or +1")
-    if i == j or not (0 <= i < 3 and 0 <= j < 3):
+    if type(i) is not int or type(j) is not int or i == j or not (0 <= i < 3 and 0 <= j < 3):
         raise InvalidInputError("row indices must be distinct and in range")
     n = abs(m.label[i] - sign * m.label[j])
     loop = _loop(m.label, n)

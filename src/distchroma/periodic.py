@@ -162,9 +162,12 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
     Below the chromatic number the result is None, and lower_bound proves
     why; at or above it, no triple is known to give None.
 
-    Raises InvalidInputError, naming the triple and the period, when the
-    word found is longer than MAX_WORD_LENGTH.
+    Raises InvalidInputError when k is not an int (``bool`` refused), and,
+    naming the triple and the period, when the word found is longer than
+    MAX_WORD_LENGTH.
     """
+    if type(k) is not int:
+        raise InvalidInputError("number of colors must be an integer")
     if k < 1:
         return None
     a, b, c = t.a, t.b, t.c
@@ -369,8 +372,13 @@ def upper_bound(t: DistanceTriple, k: int) -> PeriodicColoring:
     and re-verified by verify_periodic.
 
     Raises CertificationError, naming the triple, when either check fails,
-    and InvalidInputError for a word longer than MAX_WORD_LENGTH.
+    and InvalidInputError for k that is not a positive int (``bool``
+    refused) or a word longer than MAX_WORD_LENGTH.
     """
+    if type(k) is not int:
+        raise InvalidInputError("number of colors must be an integer")
+    if k < 1:
+        raise InvalidInputError("number of colors must be positive")
     pc = find_periodic_coloring(t, k)
     if pc is None or pc.period > t.b + t.c or not verify_periodic(t, pc):
         raise CertificationError(
@@ -387,9 +395,12 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
     refuted at one of those two lengths.
 
     Raises CertificationError when the witness fails, which for k < chi
-    would contradict the classification, and InvalidInputError for k
-    outside 1..3 or a segment longer than MAX_WORD_LENGTH.
+    would contradict the classification, and InvalidInputError for k that
+    is not an int (``bool`` refused), k outside 1..3, or a segment longer
+    than MAX_WORD_LENGTH.
     """
+    if type(k) is not int:
+        raise InvalidInputError("number of colors must be an integer")
     if k < 1:
         raise InvalidInputError("number of colors must be positive")
     if k == 1:

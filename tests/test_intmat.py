@@ -119,6 +119,7 @@ _SQUARE = ((1, 0), (1, 0))  # annihilated by (1, 1) modulo 2
 _MESSAGE_INT = "entries and labels must be integers"
 _MESSAGE_MODULUS = "modulus must be 0 or at least 2"
 _MESSAGE_REDUCED = r"labels must be reduced into \[0, modulus\)"
+_MESSAGE_SEQUENCE = "matrix rows and label must be sequences"
 
 
 @pytest.mark.parametrize(
@@ -145,6 +146,10 @@ _MESSAGE_REDUCED = r"labels must be reduced into \[0, modulus\)"
         pytest.param(_SQUARE, (1, 1, 1), 2.0, "label length", id="length-and-modulus"),
         pytest.param(_SQUARE, (1, 5), 2.0, "modulus must be an integer", id="modulus-and-label"),
         pytest.param(((1, 1), (1, 0)), (1, 5), 3, _MESSAGE_REDUCED, id="label-and-column"),
+        # Not sequences: each once escaped as a raw TypeError.
+        pytest.param((1, 2), (1, 1), 0, _MESSAGE_SEQUENCE, id="int-rows"),
+        pytest.param(_SQUARE, 5, 0, _MESSAGE_SEQUENCE, id="int-label"),
+        pytest.param(None, (1, 1), 0, _MESSAGE_SEQUENCE, id="no-rows"),
     ],
 )
 def test_constructor_error_precedence(entries, label, modulus, message):
