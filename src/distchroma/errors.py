@@ -1,5 +1,15 @@
-"""Exception types shared across the package, and how their messages show
-integers of any length."""
+"""Exception types shared across the package, the digit bound, and how
+error messages show integers of any length.
+
+The library's input contract: a public function that takes a number
+requires an int (``bool`` refused) and raises InvalidInputError for
+anything else, as for any other broken precondition.  CertificationError
+is raised only for valid input that has no witness.  No integer of more
+than MAX_DIGITS digits is read from text or written as text; inputs that
+would need one are invalid input.  The interpreter's own int-to-str limit
+(sys.set_int_max_str_digits) must be 0 or at least MAX_DIGITS, as its
+default is.
+"""
 
 from math import log10
 

@@ -6,6 +6,11 @@ distances has chromatic number 2 when all three are odd, 4 when
 residue classes mod 3, and 3 otherwise.  This module normalizes raw
 triples, evaluates the classification with an explicit branch witness,
 and orients triples for the relation-matrix pipeline.
+
+Raw distances must be positive ints (``bool`` refused) whose normalized
+b + c has at most MAX_DIGITS digits; normalize_triple raises
+InvalidInputError for anything else.  A DistanceTriple is checked in full
+by its constructor, so every function here that takes one can trust it.
 """
 
 from dataclasses import dataclass, fields
@@ -79,7 +84,9 @@ def normalize_triple(raw_a: int, raw_b: int, raw_c: int) -> DistanceTriple:
     number derived from the triple up to b + c can be printed.  Each
     refusal raises InvalidInputError.
     """
-    if not (type(raw_a) is type(raw_b) is type(raw_c) is int and raw_a > 0 < raw_b and raw_c > 0):
+    if not (
+        type(raw_a) is type(raw_b) is type(raw_c) is int and raw_a > 0 and raw_b > 0 and raw_c > 0
+    ):
         raise InvalidInputError("distances must be positive integers")
     g = gcd(raw_a, raw_b, raw_c)
     a, b, c = sorted((raw_a // g, raw_b // g, raw_c // g))

@@ -46,7 +46,7 @@ def test_triples_take_ints_only(x, y, z):
     for fn in (normalize_triple, DistanceTriple, build_heuberger_matrix):
         result = outcome(fn, x, y, z)
         assert result is InvalidInputError or not isinstance(result, type), fn
-        if not isinstance(result, type) and fn is not build_heuberger_matrix:
+        if not isinstance(result, type):
             assert type(x) is type(y) is type(z) is int
 
 
