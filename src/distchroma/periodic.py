@@ -126,7 +126,7 @@ class ChiCertificate:
             "c": t.c,
             "scale": t.scale,
             "chi": self.chi,
-            "branch": self.branch.value,
+            "branch": self.branch._value_,  # .value, without the property's cost
             "period": upper.period,
             "colors": list(upper.colors),
             "lower": witness,
