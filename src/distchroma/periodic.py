@@ -336,10 +336,18 @@ def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
     an exact solver, on every coprime triple with c <= 40 and every
     length <= 2(b + c) + 2.
 
-    Only k = 3 is defined; any other k raises InvalidInputError.
+    Only k = 3 is defined.  Any other k, a length or k that is not an int
+    (``bool`` refused), and a length above MAX_WORD_LENGTH raise
+    InvalidInputError.
     """
+    if type(length) is not int or type(k) is not int:
+        raise InvalidInputError("segment length and number of colors must be integers")
     if k != 3:
         raise InvalidInputError(f"segment refutation is defined for 3 colors, not {_brief(k)}")
+    if length > MAX_WORD_LENGTH:
+        raise InvalidInputError(
+            f"segment 0..{_brief(length)} is longer than MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
+        )
     distances = set(t.distances())
     signed = distances | {-s for s in distances}
     # Each vertex points to a lower vertex of its class, or to itself.

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from distchroma.errors import MAX_DIGITS, CertificationError, InvalidInputError, QuotientLoopsError
 from distchroma.intmat import build_heuberger_matrix, collapse_rows
-from distchroma.periodic import find_periodic_coloring, lower_bound, upper_bound
+from distchroma.periodic import (
+    MAX_WORD_LENGTH,
+    find_periodic_coloring,
+    lower_bound,
+    segment_colorable,
+    upper_bound,
+)
 from distchroma.zhu import DistanceTriple, normalize_triple
 
 # Anything a caller might pass where a number is expected.
@@ -63,6 +69,16 @@ def test_colors_take_ints_only(t, k):
             assert type(k) is int
 
 
+@settings(max_examples=300, deadline=None)
+@given(triples, values, values)
+def test_segment_takes_ints_only(t, length, k):
+    # past MAX_WORD_LENGTH a segment is refused before memory is allocated
+    result = outcome(segment_colorable, t, length, k)
+    assert result is InvalidInputError or type(result) is bool
+    if type(result) is bool:
+        assert type(length) is type(k) is int and k == 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(values, values, values)
 def test_collapse_takes_ints_only(i, j, sign):
@@ -89,6 +105,10 @@ def test_collapse_takes_ints_only(i, j, sign):
         lambda: upper_bound(normalize_triple(1, 2, 4), 0),
         lambda: find_periodic_coloring(normalize_triple(1, 2, 4), 3.0),
         lambda: collapse_rows(build_heuberger_matrix(1, 2, 3), 0.0, 1, 1),
+        lambda: segment_colorable(normalize_triple(2, 3, 5), 8, 3.0),
+        lambda: segment_colorable(normalize_triple(2, 3, 5), 8, "3"),
+        lambda: segment_colorable(normalize_triple(2, 3, 5), 8.0, 3),
+        lambda: segment_colorable(normalize_triple(2, 3, 5), MAX_WORD_LENGTH + 1, 3),
     ],
     ids=[
         "normalize-str",
@@ -103,6 +123,10 @@ def test_collapse_takes_ints_only(i, j, sign):
         "upper-zero",
         "find-float",
         "collapse-float-row",
+        "segment-float-colors",
+        "segment-str-colors",
+        "segment-float-length",
+        "segment-past-envelope",
     ],
 )
 def test_known_escapes_are_invalid_input(call):
