@@ -29,8 +29,8 @@ class LabeledMatrix:
     integers or n >= 2 over Z_n (labels then reduced into [0, n)).  Rows and
     label given as other sequences are stored as tuples.  Every matrix,
     each reduced matrix and quotient included, is checked in full by the
-    constructor, in this order: every entry and label is an int, the
-    shape, the label length, the modulus, reduced labels, and label
+    constructor, in this order: rows and label are sequences, every entry
+    and label is an int, the shape, the label length, the modulus, reduced labels, and label
     annihilation (label . column == 0 modulo the modulus for every column).
     Equality, hashing, ``repr`` and immutability are the dataclass's.
     """
