@@ -21,11 +21,10 @@ exactly what ``json.dumps(cert.to_json_dict(), indent=2)`` would, without
 the pure-Python encoder that ``json`` runs whenever ``indent`` is set.
 """
 
-import io
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from collections import namedtuple
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -56,21 +55,13 @@ BRANCH_TEXT = {
     ChiBranch.OTHERWISE: "otherwise",
 }
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep result: the classification value against the certified
-    one, the certified period, and the generic q*k^q period bound
-    (q = max distance, k = chi) for contrast.  The fields, in order, are
-    the sweep's CSV columns and JSON keys."""
-
-    a: int
-    b: int
-    c: int
-    chi_formula: int
-    chi_certified: "int | None"
-    period: "int | None"
-    ees_bound: int
-    agree: bool
+# One sweep result, and one row of the sweep's table: the fields, in order,
+# are its CSV columns and JSON keys.  chi_formula is the classification
+# value and chi_certified the certified one; period is the certified period;
+# both are None when certification fails.  ees_bound is the generic q*k^q
+# period bound (q = max distance, k = chi) for contrast, and agree is
+# chi_certified == chi_formula.
+SweepRow = namedtuple("SweepRow", "a b c chi_formula chi_certified period ees_bound agree")
 
 
 def iter_triples(max_c: int):
@@ -92,17 +83,12 @@ def sweep_rows(max_c: int) -> list[SweepRow]:
     rows = []
     for t in iter_triples(max_c):
         fchi, _ = chi_formula(t)
-        bound = t.c * fchi**t.c
         try:
             cert = certify(t)
+            chi, period = cert.chi, cert.upper.period
         except CertificationError:
-            rows.append(SweepRow(t.a, t.b, t.c, fchi, None, None, bound, False))
-            continue
-        rows.append(
-            SweepRow(
-                t.a, t.b, t.c, fchi, cert.chi, cert.upper.period, bound, cert.chi == fchi
-            )
-        )
+            chi = period = None
+        rows.append(SweepRow(t.a, t.b, t.c, fchi, chi, period, t.c * fchi**t.c, chi == fchi))
     return rows
 
 
@@ -259,17 +245,14 @@ def _cmd_sweep(args) -> int:
         raise InvalidInputError("--max must be positive")
     rows = sweep_rows(args.max)
     if args.format == "json":
-        payload = json.dumps([asdict(row) for row in rows], indent=2) + "\n"
+        payload = json.dumps([row._asdict() for row in rows], indent=2) + "\n"
     else:
-        import csv  # only the sweep writes CSV
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(field.name for field in fields(SweepRow))
-        for row in rows:
-            # csv writes None as an empty cell; agree is spelled true/false.
-            writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in astuple(row))
-        payload = buf.getvalue()
+        # None is an empty cell and agree is spelled true/false; no value,
+        # and no column name, needs quoting.
+        payload = "".join(
+            ",".join("" if v is None else str(v).lower() for v in row) + "\n"
+            for row in [SweepRow._fields, *rows]
+        )
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

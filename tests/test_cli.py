@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -426,7 +425,7 @@ def test_sweep_desk_scale(capsys):
 
 def test_sweep_json_round_trips(capsys):
     assert main(["sweep", "--max", "4", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out) == [asdict(r) for r in sweep_rows(4)]
+    assert json.loads(capsys.readouterr().out) == [r._asdict() for r in sweep_rows(4)]
 
 
 @pytest.mark.parametrize(
@@ -458,7 +457,7 @@ def test_sweep_invalid_input_exits_2(capsys, monkeypatch):
 
 
 def test_sweep_records_a_failed_certificate_as_a_disagreeing_row(capsys, monkeypatch):
-    expected = [asdict(row) for row in sweep_rows(3)]
+    expected = [row._asdict() for row in sweep_rows(3)]
 
     def fail_one(t):
         if t.distances() == (1, 2, 3):
