@@ -354,19 +354,20 @@ def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
     parent = list(range(length + 1))
     for s in distances:
         common = sorted(e for e in signed if e - s in signed)
-        for i, e0 in enumerate(common):
-            for e1 in common[i + 1:]:
-                # x ~ x + s is an edge, and x + e0 < x + e1 lie in 0..length
-                for x in range(max(0, -e0), min(length - s, length - e1) + 1):
-                    u, v = x + e0, x + e1
-                    while parent[u] != u:
-                        parent[u] = u = parent[parent[u]]
-                    while parent[v] != v:
-                        parent[v] = v = parent[parent[v]]
-                    if u < v:
-                        parent[v] = u
-                    elif v < u:
-                        parent[u] = v
+        # A chain of neighbours is enough: every x that would merge e0 with
+        # a later member merges each consecutive pair between them too.
+        for e0, e1 in zip(common, common[1:]):
+            # x ~ x + s is an edge, and x + e0 < x + e1 lie in 0..length
+            for x in range(max(0, -e0), min(length - s, length - e1) + 1):
+                u, v = x + e0, x + e1
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u < v:
+                    parent[v] = u
+                elif v < u:
+                    parent[u] = v
     # Pointers only go down, so one ascending pass points every vertex at
     # the least vertex of its class.
     for v, p in enumerate(parent):
