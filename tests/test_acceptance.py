@@ -6,12 +6,19 @@ Each test prints one pass line; a pytest failure is the fail line.
 import random
 
 import pytest
+from oracles import (
+    annihilation_residues,
+    chromatic_number,
+    circulant_adjacency,
+    column_move,
+    properly_colored,
+    segment_adjacency,
+)
 
-from distchroma.circulant import exists_coloring
+from distchroma.circulant import backtrack_coloring, exists_coloring
 from distchroma.cli import iter_triples, sweep_rows
 from distchroma.errors import InvalidInputError, QuotientLoopsError
 from distchroma.intmat import (
-    LabeledMatrix,
     admissible_collapses,
     build_heuberger_matrix,
     collapse_rows,
@@ -32,20 +39,6 @@ def _passed(number: int, label: str) -> None:
     print(f"[acceptance] criterion {number} ({label}): PASS")
 
 
-def annihilation_holds(m) -> bool:
-    for j in range(len(m.entries[0])):
-        total = sum(lab * row[j] for lab, row in zip(m.label, m.entries))
-        if (total if m.modulus == 0 else total % m.modulus) != 0:
-            return False
-    return True
-
-
-def column_move(m: LabeledMatrix, dst: int, factor: int) -> LabeledMatrix:
-    # Add factor times the other column to column dst; the constructor re-checks annihilation.
-    rows = tuple((x + factor * y, y) if dst == 0 else (x, y + factor * x) for x, y in m.entries)
-    return LabeledMatrix(rows, m.label, m.modulus)
-
-
 @pytest.fixture(scope="module")
 def desk_triples():
     return list(iter_triples(12))
@@ -61,6 +54,11 @@ def test_criterion_1_full_cross_validation(desk_triples):
         assert cert.upper.k == chi
         assert cert.upper.period <= t.b + t.c
         assert verify_periodic(t, cert.upper)
+        # ... re-checked without periodic: chi colors, and no distance joins
+        # two vertices of one color
+        word = cert.upper.colors
+        assert len(word) == cert.upper.period and set(word) <= set(range(chi))
+        assert properly_colored(cert.upper.period, t.distances(), word)
         # (ii) verified lower bound
         if chi == 2:
             assert cert.lower.kind == LOWER_TRIVIAL
@@ -71,6 +69,10 @@ def test_criterion_1_full_cross_validation(desk_triples):
             assert cert.lower.kind == LOWER_SEGMENT
             assert cert.lower.length in (t.b + t.c, 2 * (t.b + t.c))
             assert not segment_colorable(t, cert.lower.length, chi - 1)
+            # ... re-checked without periodic: the exact solver finds no
+            # 3-coloring of the segment as it stands, with no contraction
+            segment = segment_adjacency(t.distances(), cert.lower.length)
+            assert backtrack_coloring(segment, chi - 1) is None
     _passed(1, "full cross-validation, c <= 12")
 
 
@@ -119,7 +121,7 @@ def test_criterion_5_label_annihilation_randomized():
             rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 30)
         )
         m = build_heuberger_matrix(*orient_for_matrix(t))
-        assert annihilation_holds(m)
+        assert not any(annihilation_residues(m))
         for _ in range(rng.randint(1, 6)):
             op = rng.choice(("combine", "reduce", "collapse"))
             try:
@@ -134,7 +136,7 @@ def test_criterion_5_label_annihilation_randomized():
             except (InvalidInputError, QuotientLoopsError):
                 continue  # op not applicable to the current shape; skip
             applied += 1
-            assert annihilation_holds(m)
+            assert not any(annihilation_residues(m))
     assert applied > 2000  # the sequences genuinely exercised the operations
     _passed(5, "label annihilation over 1000 random op sequences")
 
@@ -167,19 +169,6 @@ def test_criterion_6_collapse_diagram_commutes():
 
 def test_criterion_7_circulant_oracle_sanity():
     # The oracle is exists_coloring on the circulant's adjacency lists.
-    def circulant_adjacency(n, gens):
-        conn = {r for g in gens for r in (g % n, -g % n)}
-        return [sorted((v + s) % n for s in conn) for v in range(n)]
-
-    def chromatic_number(adjacency):
-        for k in range(1, len(adjacency) + 1):
-            colors = exists_coloring(adjacency, k)
-            if colors is not None:
-                return k, colors
-
-    def properly_colored(n, gens, colors):
-        return all(colors[v] != colors[(v + g) % n] for v in range(n) for g in gens)
-
     k, witness = chromatic_number(circulant_adjacency(5, [1, 2]))
     assert k == 5 and properly_colored(5, [1, 2], witness)
     k, witness = chromatic_number(circulant_adjacency(4, [1, 2, 3]))

@@ -5,27 +5,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import chromatic_number, circulant_adjacency, properly_colored, segment_adjacency
 
 from distchroma.circulant import backtrack_coloring, exists_coloring
-
-
-def circulant_adjacency(n, gens):
-    # Adjacency lists of the circulant on Z_n generated by +-gens.
-    conn = {r for g in gens for r in (g % n, -g % n)}
-    return [sorted((v + s) % n for s in conn) for v in range(n)]
-
-
-def properly_colored(n, gens, colors) -> bool:
-    # Re-derived from the generators, independent of circulant_adjacency.
-    return all(colors[v] != colors[(v + g) % n] for v in range(n) for g in gens)
-
-
-def chromatic_number(adjacency):
-    # Smallest k with a proper k-coloring, and the coloring found for it.
-    for k in range(1, len(adjacency) + 1):
-        colors = exists_coloring(adjacency, k)
-        if colors is not None:
-            return k, colors
 
 
 # ------------------------------------------------------------- search
@@ -120,16 +102,6 @@ def test_backtrack_coloring_long_odd_cycle():
     assert found is not None
     assert all(0 <= color < 3 for color in found)
     assert all(found[v] != found[(v + 1) % n] for v in range(n))
-
-
-def segment_adjacency(distances, length):
-    adjacency = [[] for _ in range(length + 1)]
-    for v in range(length + 1):
-        for s in distances:
-            if v + s <= length:
-                adjacency[v].append(v + s)
-                adjacency[v + s].append(v)
-    return adjacency
 
 
 # First colorings found with DSatur order (fewest colors left, ties to the

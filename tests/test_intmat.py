@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import annihilation_residues, column_move
 
 from distchroma.errors import InvalidInputError, QuotientLoopsError
 from distchroma.intmat import (
@@ -20,21 +21,6 @@ from distchroma.intmat import (
     hermite_reduce_step,
 )
 from distchroma.zhu import normalize_triple, orient_for_matrix
-
-
-def annihilation_residues(m: LabeledMatrix) -> list[int]:
-    # Recomputed from scratch so tests do not lean on the constructor check.
-    out = []
-    for j in range(len(m.entries[0])):
-        total = sum(lab * row[j] for lab, row in zip(m.label, m.entries))
-        out.append(total if m.modulus == 0 else total % m.modulus)
-    return out
-
-
-def column_move(m: LabeledMatrix, dst: int, factor: int) -> LabeledMatrix:
-    # Add factor times the other column to column dst; the constructor re-checks annihilation.
-    rows = tuple((x + factor * y, y) if dst == 0 else (x, y + factor * x) for x, y in m.entries)
-    return LabeledMatrix(rows, m.label, m.modulus)
 
 
 triples = st.tuples(

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import segment_adjacency
 
 from distchroma.circulant import backtrack_coloring
 from distchroma.cli import iter_triples, main
@@ -248,13 +249,7 @@ def test_segment_golden():
 
 def raw_segment_colorable(t, length, k):
     """The segment 0..length solved as it stands, with no contraction."""
-    adjacency = [[] for _ in range(length + 1)]
-    for v in range(length + 1):
-        for s in set(t.distances()):
-            if v + s <= length:
-                adjacency[v].append(v + s)
-                adjacency[v + s].append(v)
-    return backtrack_coloring(adjacency, k) is not None
+    return backtrack_coloring(segment_adjacency(set(t.distances()), length), k) is not None
 
 
 def test_segment_contraction_is_exact():
