@@ -209,7 +209,7 @@ def _cmd_matrix(args) -> int:
         if _past_max_digits(value):
             raise InvalidInputError(
                 f"the relation matrix of {_brief(t.distances())} holds {_brief(value)}, "
-                f"which has more digits than the interpreter converts to text"
+                f"which has more than MAX_DIGITS = {MAX_DIGITS} digits"
             )
     _note_normalization(args, t)
     print(f"oriented: ({a1}, {a2}, {a3})")

@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import permutations
 from math import gcd
 
-from .errors import InvalidInputError, _brief, _past_max_digits
+from .errors import MAX_DIGITS, InvalidInputError, _brief, _past_max_digits
 
 
 class ChiBranch(Enum):
@@ -92,7 +92,7 @@ def normalize_triple(raw_a: int, raw_b: int, raw_c: int) -> DistanceTriple:
     a, b, c = sorted((raw_a // g, raw_b // g, raw_c // g))
     if _past_max_digits(b + c):
         raise InvalidInputError(
-            f"b + c = {_brief(b + c)} has more digits than the interpreter converts to text"
+            f"b + c = {_brief(b + c)} has more than MAX_DIGITS = {MAX_DIGITS} digits"
         )
     return DistanceTriple(a, b, c, g)
 

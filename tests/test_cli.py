@@ -347,8 +347,7 @@ def test_triple_past_digit_limit_is_refused(capsys, argv):
     x, x1 = _near_power_of_ten(4300)
     assert main([{"X": x, "X1": x1}.get(arg, arg) for arg in argv]) == 2
     assert refusal(capsys) == (
-        "error: b + c = 199999999999... (4301 digits) has more digits than the "
-        "interpreter converts to text"
+        "error: b + c = 199999999999... (4301 digits) has more than MAX_DIGITS = 4300 digits"
     )
 
 
@@ -364,8 +363,8 @@ def test_digit_bound_does_not_follow_the_interpreter(capsys, limit):
     try:
         assert main(["chi", "1", x, x1, "--json"]) == 2
         assert refusal(capsys) == (
-            "error: b + c = 199999999999... (4301 digits) has more digits than the "
-            "interpreter converts to text"
+            "error: b + c = 199999999999... (4301 digits) has more than MAX_DIGITS = 4300 "
+            "digits"
         )
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--max", "9" * (MAX_DIGITS + 1)])
@@ -394,6 +393,7 @@ def test_matrix_past_digit_limit_prints_nothing(capsys, digits, plain, steps):
         if code == 2:
             line = refusal(capsys)
             assert line.startswith("error: the relation matrix of (")
+            assert line.endswith("which has more than MAX_DIGITS = 4300 digits")
             assert len(line) < 300
         else:
             assert capsys.readouterr().err == ""

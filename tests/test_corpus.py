@@ -158,9 +158,9 @@ def digests() -> "dict[str, str]":
 
 
 DIGESTS = {
-    "chi": "3c20f22ed1672e1805217d8a9e32fdca9d4ede375d9126d5982467ae2ee3588f",
-    "color": "1ab892eb2ba27fe5095d2c6f510b4b898889c1ad4e3b21bf3a36fdfb5c425257",
-    "matrix": "18413c435a614a5343ba3a49b044a18df780ac01d93793ea45e75e04eb252eb7",
+    "chi": "57f4cf2099a4235ad2e204007c153ca478e64ed72f5b97d43a44c7e18f2f79f7",
+    "color": "63a71996582a0f245ac5e3af67a1452e4609edb157819c252f432d003ef68ed0",
+    "matrix": "42cb9c6148de84228b7e687188bba9c56eb46d68eb398023446a90c9ab2891e1",
     "verify": "d8293461af626311e6b4e71856331692eb34803a44fff7a8006f3306c7f737e6",
     "sweep": "c06c10bfd969f18b58bf679e3a4ca89326193235339d80060fa6b5ca46eb0e63",
     "usage": "cb34e8678d68808776ba14bd022ed64766ffde17b1410c4676b791861b589515",
