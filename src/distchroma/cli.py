@@ -16,17 +16,15 @@ Output that cannot be written because the reader closed standard output
 line and no traceback.  Every piece of user text in an error line passes
 through ``_shown``, so one line stays short whatever the input.
 
-``chi --json`` prints its certificate through ``_to_json``, which writes
-exactly what ``json.dumps(cert.to_json_dict(), indent=2)`` would, without
-the pure-Python encoder that ``json`` runs whenever ``indent`` is set.
+``chi --json`` prints its certificate through ``_certificate_json``, one
+template over the certificate's fixed shape that writes exactly what
+``json.dumps(cert.to_json_dict(), indent=2)`` would, without loading ``json``.
 """
 
-import json
 import os
 import sys
 from collections import namedtuple
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from math import gcd
 from types import SimpleNamespace
 
@@ -92,27 +90,27 @@ def sweep_rows(max_c: int) -> list[SweepRow]:
     return rows
 
 
-def _to_json(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte, for an int, a str, a
-    list of ints, or a dict with str keys whose values are any of these;
-    anything else, bool and None included, raises TypeError."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if kind is list and set(map(type, value)) <= {int}:
-        # one join over the ints: a word may hold 10**6 of them
-        body, brackets = map(int.__repr__, value), "[]"
-    elif kind is dict and set(map(type, value)) <= {str}:
-        body = [f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    else:
-        raise TypeError(f"{kind.__name__} value not written as JSON")
-    if not value:
-        return brackets
-    return f"{brackets[0]}{inner}{f',{inner}'.join(body)}{indent}{brackets[1]}"
+def _certificate_json(cert) -> str:
+    """json.dumps(cert.to_json_dict(), indent=2), byte for byte: the branch
+    and the lower-bound kind are plain ASCII identifiers, never escaped."""
+    t, lower = cert.triple, cert.lower
+    length = "" if lower.length is None else f',\n    "L": {lower.length}'
+    colors = ",\n    ".join(map(int.__repr__, cert.upper.colors))  # up to 10**6 of them
+    return f"""{{
+  "a": {t.a},
+  "b": {t.b},
+  "c": {t.c},
+  "scale": {t.scale},
+  "chi": {cert.chi},
+  "branch": "{cert.branch._value_}",
+  "period": {cert.upper.period},
+  "colors": [
+    {colors}
+  ],
+  "lower": {{
+    "type": "{lower.kind}"{length}
+  }}
+}}"""
 
 
 def _note_normalization(args, t: DistanceTriple) -> None:
@@ -125,7 +123,7 @@ def _note_normalization(args, t: DistanceTriple) -> None:
 def _cmd_chi(args) -> int:
     t = normalize_triple(args.a, args.b, args.c)
     if args.json:
-        print(_to_json(certify(t).to_json_dict()))
+        print(_certificate_json(certify(t)))
         return 0
     _note_normalization(args, t)
     chi, branch = chi_formula(t)
@@ -174,6 +172,7 @@ def _cmd_verify(args) -> int:
 
 
 def _print_stage(stage: str, matrix) -> None:
+    import json
     print(f"  [{stage}] {json.dumps(matrix.to_json_dict())}")
     for j, total in enumerate(matrix.label_column_products()):
         if matrix.modulus:
@@ -245,6 +244,7 @@ def _cmd_sweep(args) -> int:
         raise InvalidInputError("--max must be positive")
     rows = sweep_rows(args.max)
     if args.format == "json":
+        import json
         payload = json.dumps([row._asdict() for row in rows], indent=2) + "\n"
     else:
         # None is an empty cell and agree is spelled true/false; no value,

@@ -1,14 +1,15 @@
 """The certificate writer behind ``chi --json`` against ``json.dumps(indent=2)``."""
 
 import json
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from distchroma.cli import _to_json, iter_triples, main
-from distchroma.periodic import certify
-from distchroma.zhu import normalize_triple
+from distchroma.cli import iter_triples, main
+from distchroma.periodic import LOWER_PARITY, LOWER_SEGMENT, LOWER_TRIVIAL, certify
+from distchroma.zhu import ChiBranch, normalize_triple
 
 # The upper-witness cliff (a word of 3^9 colors) and the lower-bound cliffs,
 # among them the longest segment the envelope admits.
@@ -47,45 +48,36 @@ def test_chi_json_is_json_dumps_on_cost_cliffs(capsys, distances):
     assert _chi_json(capsys, distances) == _dumped(distances)
 
 
-# What the writer accepts: ints, strs, lists of ints, and dicts with str keys
-# of any of these, nested.
-JSON_VALUES = st.recursive(
-    st.one_of(st.integers(), st.text(), st.lists(st.integers())),
-    lambda inner: st.dictionaries(st.text(), inner),
-    max_leaves=30,
-)
+# Coprime triples with c <= 2000, times a scale up to 10**40, in any order.
+SCALED_TRIPLES = st.tuples(
+    st.tuples(st.integers(1, 2000), st.integers(1, 2000), st.integers(1, 2000)).filter(
+        lambda t: gcd(*t) == 1
+    ),
+    st.integers(1, 10**40),
+).flatmap(lambda ts: st.permutations([ts[1] * d for d in ts[0]]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-@example({})
-@example([])
-@example("")
-@example({"a": {}, "b": [], "c": {"d": {"e": [0, -1, 10**40]}}})
-@example({'"quoted"\\': "it's \"here\"", "naïve ☃": "é\U0001f600\n\t\x00"})
-def test_writer_matches_json_dumps(value):
-    assert _to_json(value) == json.dumps(value, indent=2)
+# Every branch and every lower-bound kind: (1, 3, 5) is ALL_ODD with a
+# trivial bound, (1, 2, 4) OTHERWISE with a parity bound, (1, 2, 6)
+# A1_B2_3DIVC and (2, 3, 5) SUM_NOT_CONG_MOD3 with a segment bound at
+# L = b + c, and (3, 5, 8) with one at L = 2(b + c).
+# _chi_json drains capsys on every call, so one fixture serves every example.
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(SCALED_TRIPLES)
+@example([1, 3, 5])
+@example([14, 10, 6])
+@example([4, 2, 1])
+@example([6, 1, 2])
+@example([10**40 * 2, 10**40 * 5, 10**40 * 3])
+@example([8 * 7, 3 * 7, 5 * 7])
+def test_writer_matches_json_dumps(capsys, distances):
+    assert _chi_json(capsys, distances) == _dumped(distances)
 
 
 @pytest.mark.parametrize(
-    "value",
-    [
-        True,
-        None,
-        1.5,
-        [1, "a"],
-        [0, True],
-        [0, None],
-        [0, 1.0],
-        [[0]],
-        {"a": False},
-        {"a": None},
-        {"a": 0.5},
-        {"a": [0, "1"]},
-        {"a": {"b": None}},
-        {1: 2},
-    ],
+    "identifier", [branch.value for branch in ChiBranch] + [LOWER_TRIVIAL, LOWER_PARITY, LOWER_SEGMENT]
 )
-def test_writer_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        _to_json(value)
+def test_certificate_identifiers_need_no_escaping(identifier):
+    # The writer puts the branch and the lower-bound kind between quotes as
+    # they are.
+    assert json.dumps(identifier) == f'"{identifier}"'
