@@ -15,10 +15,6 @@ Output that cannot be written because the reader closed standard output
 (``distchroma ... | head``) is a failure too: it exits 1 with an ``error:``
 line and no traceback.  Every piece of user text in an error line passes
 through ``_shown``, so one line stays short whatever the input.
-
-``chi --json`` prints its certificate through ``_certificate_json``, one
-template over the certificate's fixed shape that writes exactly what
-``json.dumps(cert.to_json_dict(), indent=2)`` would, without loading ``json``.
 """
 
 import os
@@ -90,29 +86,6 @@ def sweep_rows(max_c: int) -> list[SweepRow]:
     return rows
 
 
-def _certificate_json(cert) -> str:
-    """json.dumps(cert.to_json_dict(), indent=2), byte for byte: the branch
-    and the lower-bound kind are plain ASCII identifiers, never escaped."""
-    t, lower = cert.triple, cert.lower
-    length = "" if lower.length is None else f',\n    "L": {lower.length}'
-    colors = ",\n    ".join(map(int.__repr__, cert.upper.colors))  # up to 10**6 of them
-    return f"""{{
-  "a": {t.a},
-  "b": {t.b},
-  "c": {t.c},
-  "scale": {t.scale},
-  "chi": {cert.chi},
-  "branch": "{cert.branch._value_}",
-  "period": {cert.upper.period},
-  "colors": [
-    {colors}
-  ],
-  "lower": {{
-    "type": "{lower.kind}"{length}
-  }}
-}}"""
-
-
 def _note_normalization(args, t: DistanceTriple) -> None:
     if t.scale > 1:
         print(
@@ -123,7 +96,7 @@ def _note_normalization(args, t: DistanceTriple) -> None:
 def _cmd_chi(args) -> int:
     t = normalize_triple(args.a, args.b, args.c)
     if args.json:
-        print(_certificate_json(certify(t)))
+        print(certify(t).to_json())
         return 0
     _note_normalization(args, t)
     chi, branch = chi_formula(t)

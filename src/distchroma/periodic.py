@@ -26,6 +26,10 @@ every 3-coloring forces to share a color are merged, and an edge inside a
 class is the whole refutation, so no search runs on this side either.  The
 same two functions answer `color --k` for any number of colors, above or
 below the chromatic number.
+
+A certificate is written out here and nowhere else: as a dict by
+ChiCertificate.to_json_dict, and as the text `chi --json` prints by
+ChiCertificate.to_json.
 """
 
 from dataclasses import dataclass
@@ -131,6 +135,29 @@ class ChiCertificate:
             "colors": list(upper.colors),
             "lower": witness,
         }
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2), byte for byte, from one
+        template over the fixed shape, without loading json: the branch and
+        the lower-bound kind are plain ASCII identifiers, never escaped."""
+        t, lower = self.triple, self.lower
+        length = "" if lower.length is None else f',\n    "L": {lower.length}'
+        colors = ",\n    ".join(map(int.__repr__, self.upper.colors))  # up to 10**6 of them
+        return f"""{{
+  "a": {t.a},
+  "b": {t.b},
+  "c": {t.c},
+  "scale": {t.scale},
+  "chi": {self.chi},
+  "branch": "{self.branch._value_}",
+  "period": {self.upper.period},
+  "colors": [
+    {colors}
+  ],
+  "lower": {{
+    "type": "{lower.kind}"{length}
+  }}
+}}"""
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChiCertificate":
@@ -338,7 +365,8 @@ def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
 
     Only k = 3 is defined.  Any other k, a length or k that is not an int
     (``bool`` refused), and a length above MAX_WORD_LENGTH raise
-    InvalidInputError.
+    InvalidInputError; the last names the triple and L, so lower_bound
+    passes it on as the segment stage's error.
     """
     if type(length) is not int or type(k) is not int:
         raise InvalidInputError("segment length and number of colors must be integers")
@@ -346,7 +374,8 @@ def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
         raise InvalidInputError(f"segment refutation is defined for 3 colors, not {_brief(k)}")
     if length > MAX_WORD_LENGTH:
         raise InvalidInputError(
-            f"segment 0..{_brief(length)} is longer than MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
+            f"segment stage for {_brief(t.distances())}: L = {_brief(length)} exceeds "
+            f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
         )
     distances = set(t.distances())
     signed = distances | {-s for s in distances}
@@ -405,8 +434,9 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
 
     Raises CertificationError when the witness fails, which for k < chi
     would contradict the classification, and InvalidInputError for k that
-    is not an int (``bool`` refused), k outside 1..3, or a segment longer
-    than MAX_WORD_LENGTH.
+    is not a positive int (``bool`` refused).  Past k = 2 the segment
+    stage runs, and segment_colorable refuses k other than 3 and a segment
+    longer than MAX_WORD_LENGTH.
     """
     if type(k) is not int:
         raise InvalidInputError("number of colors must be an integer")
@@ -418,14 +448,7 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
         if is_bipartite(t):
             raise CertificationError(f"parity lower bound unsound for {_brief(t.distances())}")
         return _PARITY
-    if k != 3:
-        raise InvalidInputError(f"no lower-bound witness for {_brief(k)} colors")
     for length in (t.b + t.c, 2 * (t.b + t.c)):
-        if length > MAX_WORD_LENGTH:
-            raise InvalidInputError(
-                f"segment stage for {_brief(t.distances())}: L = {_brief(length)} exceeds "
-                f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
-            )
         if not segment_colorable(t, length, k):
             return LowerBound(LOWER_SEGMENT, length)
     raise CertificationError(

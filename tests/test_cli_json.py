@@ -1,10 +1,11 @@
-"""The certificate writer behind ``chi --json`` against ``json.dumps(indent=2)``."""
+"""The certificate writer, ``ChiCertificate.to_json``, against
+``json.dumps(indent=2)``: directly, and through ``chi --json``."""
 
 import json
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distchroma.cli import iter_triples, main
@@ -61,8 +62,7 @@ SCALED_TRIPLES = st.tuples(
 # trivial bound, (1, 2, 4) OTHERWISE with a parity bound, (1, 2, 6)
 # A1_B2_3DIVC and (2, 3, 5) SUM_NOT_CONG_MOD3 with a segment bound at
 # L = b + c, and (3, 5, 8) with one at L = 2(b + c).
-# _chi_json drains capsys on every call, so one fixture serves every example.
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, deadline=None)
 @given(SCALED_TRIPLES)
 @example([1, 3, 5])
 @example([14, 10, 6])
@@ -70,8 +70,9 @@ SCALED_TRIPLES = st.tuples(
 @example([6, 1, 2])
 @example([10**40 * 2, 10**40 * 5, 10**40 * 3])
 @example([8 * 7, 3 * 7, 5 * 7])
-def test_writer_matches_json_dumps(capsys, distances):
-    assert _chi_json(capsys, distances) == _dumped(distances)
+def test_writer_matches_json_dumps(distances):
+    cert = certify(normalize_triple(*distances))
+    assert cert.to_json() == json.dumps(cert.to_json_dict(), indent=2)
 
 
 @pytest.mark.parametrize(
