@@ -375,13 +375,10 @@ def test_lower_bound_refuses_unsound_witnesses():
 def test_segment_envelope(monkeypatch):
     # segment_colorable itself refuses a segment past the envelope, naming
     # the triple and L; lower_bound passes that refusal on.
-    t = normalize_triple(2, 3, 5)
     with pytest.raises(
         InvalidInputError, match=rf"^segment stage for \(2, 3, 5\): L = {MAX_WORD_LENGTH + 1} exceeds"
     ):
-        segment_colorable(t, MAX_WORD_LENGTH + 1, 3)
-    with pytest.raises(InvalidInputError):
-        lower_bound(t, 4)
+        segment_colorable(normalize_triple(2, 3, 5), MAX_WORD_LENGTH + 1, 3)
     # The segment that refutes three colors for (1, 2, 999) has L = 1001.
     monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 1000)
     with pytest.raises(InvalidInputError, match=r"segment.*\(1, 2, 999\).*L = 1001"):
