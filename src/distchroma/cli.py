@@ -28,11 +28,10 @@ from .errors import (
     MAX_DIGITS,
     CertificationError,
     InvalidInputError,
-    QuotientLoopsError,
     _brief,
     _past_max_digits,
 )
-from .intmat import COLLAPSE_MOVES, build_heuberger_matrix, collapse_rows, hermite_reduce_step
+from .intmat import build_heuberger_matrix, collapses, hermite_reduce_step
 from .periodic import certify, lower_bound, upper_bound, word_is_proper
 from .zhu import (
     ChiBranch,
@@ -163,16 +162,11 @@ def _cmd_matrix(args) -> int:
     a1, a2, a3 = orient_for_matrix(t)
     m = build_heuberger_matrix(a1, a2, a3)
     q, r, reduced = hermite_reduce_step(m)
-    collapses = []
-    for i, j, sign in COLLAPSE_MOVES:
-        try:
-            collapses.append((i, j, sign, collapse_rows(m, i, j, sign)))
-        except QuotientLoopsError as exc:
-            collapses.append((i, j, sign, exc))
+    moves = collapses(m)
     # Entries and products grow past b + c, so every number is checked
     # before the first line is printed.
     shown = [q, r]
-    quotients = [quotient for *_, quotient in collapses if not isinstance(quotient, Exception)]
+    quotients = [quotient for *_, quotient in moves if type(quotient) is not str]
     for matrix in [m, reduced, *quotients]:
         shown += chain(matrix.label, *matrix.entries)
         if args.steps:
@@ -192,8 +186,8 @@ def _cmd_matrix(args) -> int:
     print(f"M1: {_fmt_matrix(reduced)}")
     if args.steps:
         _print_stage("reduce", reduced)
-    for i, j, sign, quotient in collapses:
-        if isinstance(quotient, Exception):
+    for i, j, sign, quotient in moves:
+        if type(quotient) is str:
             print(f"collapse rows ({i},{j}) sign {sign:+d}: rejected ({quotient})")
             continue
         conn = ",".join(str(v) for v in quotient.label)

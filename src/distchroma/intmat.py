@@ -168,11 +168,10 @@ def collapse_rows(m: LabeledMatrix, i: int, j: int, sign: int) -> LabeledMatrix:
         raise InvalidInputError("sign must be -1 or +1")
     if type(i) is not int or type(j) is not int or i == j or not (0 <= i < 3 and 0 <= j < 3):
         raise InvalidInputError("row indices must be distinct and in range")
-    n = abs(m.label[i] - sign * m.label[j])
-    loop = _loop(m.label, n)
-    if loop is not None:
-        raise QuotientLoopsError(loop)
-    return _quotient(m, i, j, sign, n)
+    quotient = _collapse(m, i, j, sign)
+    if type(quotient) is str:
+        raise QuotientLoopsError(quotient)
+    return quotient
 
 
 def _require_collapsible(m: LabeledMatrix) -> None:
@@ -181,27 +180,24 @@ def _require_collapsible(m: LabeledMatrix) -> None:
         raise InvalidInputError("row collapse requires a 3-row matrix over the integers")
 
 
-def _loop(label: tuple[int, ...], n: int) -> "str | None":
-    """Why reducing modulo n puts a loop on the graph with these labels, or
-    None when the quotient is loop-free: n must be at least 2 and divide
-    no label."""
+def _collapse(m: LabeledMatrix, i: int, j: int, sign: int) -> "LabeledMatrix | str":
+    """Rows i and j of m merged into row i, over Z_n with
+    n = |label_i - sign*label_j| and checked by the constructor like any
+    other matrix; or, when reducing modulo n puts a loop on the graph (n < 2,
+    or n divides a label), the reason as a string."""
+    label = m.label
+    n = abs(label[i] - sign * label[j])
     if n < 2:
         return f"quotient modulus {n} is degenerate"
     for lab in label:
         if lab % n == 0:
             return f"distance {lab} vanishes modulo {n}"
-    return None
-
-
-def _quotient(m: LabeledMatrix, i: int, j: int, sign: int, n: int) -> LabeledMatrix:
-    """Rows i and j of m merged into row i, over Z_n, checked by the
-    constructor like any other matrix."""
     merged = tuple(map(add if sign == 1 else sub, m.entries[i], m.entries[j]))
     k = 3 - i - j
     if i < k:
-        rows, labels = (merged, m.entries[k]), (m.label[i] % n, m.label[k] % n)
+        rows, labels = (merged, m.entries[k]), (label[i] % n, label[k] % n)
     else:
-        rows, labels = (m.entries[k], merged), (m.label[k] % n, m.label[i] % n)
+        rows, labels = (m.entries[k], merged), (label[k] % n, label[i] % n)
     return LabeledMatrix(rows, labels, n)
 
 
@@ -210,14 +206,15 @@ def _quotient(m: LabeledMatrix, i: int, j: int, sign: int, n: int) -> LabeledMat
 COLLAPSE_MOVES = ((0, 1, -1), (0, 1, 1), (0, 2, -1), (0, 2, 1), (1, 2, -1), (1, 2, 1))
 
 
-def admissible_collapses(m: LabeledMatrix) -> list[tuple[int, int, int, LabeledMatrix]]:
-    """Every loop-free row collapse of ``m`` as (i, j, sign, quotient), in
-    COLLAPSE_MOVES order: the moves for which collapse_rows would not raise
-    QuotientLoopsError, with the quotients it would return."""
+def collapses(m: LabeledMatrix) -> list[tuple[int, int, int, "LabeledMatrix | str"]]:
+    """Every row collapse of ``m`` as (i, j, sign, result), in COLLAPSE_MOVES
+    order: result is the quotient collapse_rows returns, or, for a move it
+    rejects, the text of its QuotientLoopsError."""
     _require_collapsible(m)
-    label = m.label
-    return [
-        (i, j, sign, _quotient(m, i, j, sign, n))
-        for i, j, sign in COLLAPSE_MOVES
-        if _loop(label, n := abs(label[i] - sign * label[j])) is None
-    ]
+    return [(i, j, sign, _collapse(m, i, j, sign)) for i, j, sign in COLLAPSE_MOVES]
+
+
+def admissible_collapses(m: LabeledMatrix) -> list[tuple[int, int, int, LabeledMatrix]]:
+    """The loop-free entries of collapses(m): (i, j, sign, quotient) for
+    each move collapse_rows does not reject, in COLLAPSE_MOVES order."""
+    return [move for move in collapses(m) if type(move[3]) is not str]

@@ -11,11 +11,11 @@ ceil(m/k) <= (j*s mod m) <= m - ceil(m/k), an O(1) test per pair (m, j).
 
 The search for (m, j) has two steps.  Every modulus up to
 SMALL_MODULUS_LIMIT is scanned with every multiplier.  Beyond it only the
-row-collapse moduli |s - t| and s + t of two distances are tried: there two
-distances coincide up to sign, two window constraints are left, and a
-Euclid-style descent finds a multiplier in O(log m) or proves there is
-none.  No search over colorings runs, and no word longer than
-MAX_WORD_LENGTH is ever built.
+row-collapse moduli |s - t| and s + t of two distances are tried, one for
+each move of intmat.COLLAPSE_MOVES: there two distances coincide up to
+sign, two window constraints are left, and a Euclid-style descent finds a
+multiplier in O(log m) or proves there is none.  No search over colorings
+runs, and no word longer than MAX_WORD_LENGTH is ever built.
 
 A certificate bundles the classification answer with one witness per
 bound, each from one function: upper_bound gives a re-verified rotation
@@ -40,6 +40,7 @@ from operator import eq, ne
 from .circulant import backtrack_coloring  # not called; perfbench --trace 1 rebinds it here
 from .circulant import exists_coloring  # not called; perfbench --trace 1 rebinds it here
 from .errors import CertificationError, InvalidInputError, _brief
+from .intmat import COLLAPSE_MOVES
 from .zhu import ChiBranch, DistanceTriple, _slot_setters, chi_formula, is_bipartite
 
 LOWER_TRIVIAL = "trivial"
@@ -182,9 +183,10 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
 
     1. every modulus m = 2 .. min(b + c, SMALL_MODULUS_LIMIT) with every
        multiplier j = 1 .. m // 2, in that order;
-    2. the distinct collapse moduli |s - t| and s + t of two distances that
-       lie above SMALL_MODULUS_LIMIT and at most b + c, in ascending order,
-       each decided in O(log m) by _collapse_multiplier.
+    2. the distinct collapse moduli |s - t| and s + t of two distances, one
+       per move of intmat.COLLAPSE_MOVES, that lie above SMALL_MODULUS_LIMIT
+       and at most b + c, in ascending order, each decided in O(log m) by
+       _collapse_multiplier.
 
     Below the chromatic number the result is None, and lower_bound proves
     why; at or above it, no triple is known to give None.
@@ -211,7 +213,8 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
         for j in range(1, m // 2 + 1):
             if lo <= j * ra % m <= hi and lo <= j * rb % m <= hi and lo <= j * rc % m <= hi:
                 return _rotation_word(t, m, j, k)
-    moduli = {b - a, c - a, c - b, a + b, a + c, b + c}
+    d = (a, b, c)
+    moduli = {abs(d[i] - sign * d[j]) for i, j, sign in COLLAPSE_MOVES}
     for m in sorted(n for n in moduli if SMALL_MODULUS_LIMIT < n <= bound):
         # The window is symmetric under r -> m - r, so a residue and its
         # negative impose the same constraint; two distances coincide up to
@@ -363,15 +366,18 @@ def segment_colorable(t: DistanceTriple, length: int, k: int) -> bool:
     an exact solver, on every coprime triple with c <= 40 and every
     length <= 2(b + c) + 2.
 
-    Only k = 3 is defined.  Any other k, a length or k that is not an int
-    (``bool`` refused), and a length above MAX_WORD_LENGTH raise
-    InvalidInputError; the last names the triple and L, so lower_bound
-    passes it on as the segment stage's error.
+    Only k = 3 is defined.  A length or k that is not an int (``bool``
+    refused), any other k, and a length above MAX_WORD_LENGTH raise
+    InvalidInputError; the last two name the triple, so lower_bound passes
+    them on as the segment stage's errors.
     """
     if type(length) is not int or type(k) is not int:
         raise InvalidInputError("segment length and number of colors must be integers")
     if k != 3:
-        raise InvalidInputError(f"segment refutation is defined for 3 colors, not {_brief(k)}")
+        raise InvalidInputError(
+            f"segment stage for {_brief(t.distances())}: refutation is defined for 3 colors, "
+            f"not {_brief(k)}"
+        )
     if length > MAX_WORD_LENGTH:
         raise InvalidInputError(
             f"segment stage for {_brief(t.distances())}: L = {_brief(length)} exceeds "

@@ -18,6 +18,7 @@ from distchroma.intmat import (
     admissible_collapses,
     build_heuberger_matrix,
     collapse_rows,
+    collapses,
     hermite_reduce_step,
 )
 from distchroma.zhu import normalize_triple, orient_for_matrix
@@ -329,20 +330,28 @@ def test_collapse_modulus_formula(t):
 
 
 def _collapses_by_raising(m: LabeledMatrix) -> list:
-    # The moves collapse_rows does not reject, checked against the loop
-    # rule recomputed here: a rejected move has n < 2 or n dividing a label.
+    # Each move's quotient from collapse_rows, or the text of the
+    # QuotientLoopsError it raises, checked against the loop rule recomputed
+    # here: a rejected move has n < 2 or n dividing a label.
     found = []
     for i, j, sign in COLLAPSE_MOVES:
         n = abs(m.label[i] - sign * m.label[j])
         loops = n < 2 or any(lab % n == 0 for lab in m.label)
         try:
             quotient = collapse_rows(m, i, j, sign)
-        except QuotientLoopsError:
+        except QuotientLoopsError as exc:
             assert loops
+            found.append((i, j, sign, str(exc)))
             continue
         assert not loops
         found.append((i, j, sign, quotient))
     return found
+
+
+def _assert_collapse_paths_agree(m: LabeledMatrix) -> None:
+    found = _collapses_by_raising(m)
+    assert collapses(m) == found
+    assert admissible_collapses(m) == [move for move in found if type(move[3]) is not str]
 
 
 def _oriented_matrices(t):
@@ -356,13 +365,13 @@ def test_collapse_paths_agree_small_triples():
             for a in range(1, b + 1):
                 if gcd(a, b, c) == 1:
                     for m in _oriented_matrices(normalize_triple(a, b, c)):
-                        assert admissible_collapses(m) == _collapses_by_raising(m)
+                        _assert_collapse_paths_agree(m)
 
 
 @given(st.tuples(*[st.integers(1, 10**15)] * 3).map(lambda raw: normalize_triple(*raw)))
 def test_collapse_paths_agree_large_triples(t):
     for m in _oriented_matrices(t):
-        assert admissible_collapses(m) == _collapses_by_raising(m)
+        _assert_collapse_paths_agree(m)
 
 
 @settings(max_examples=60)

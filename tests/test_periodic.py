@@ -366,7 +366,9 @@ def test_lower_bound_is_the_certificate_lower_bound():
 def test_lower_bound_refuses_unsound_witnesses():
     with pytest.raises(CertificationError):
         lower_bound(normalize_triple(1, 3, 5), 2)  # all odd: 2-colorable
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(
+        InvalidInputError, match=r"^segment stage for \(1, 2, 3\): refutation is defined for 3 colors, not 4$"
+    ):
         lower_bound(normalize_triple(1, 2, 3), 4)
     with pytest.raises(InvalidInputError, match="number of colors must be positive"):
         lower_bound(normalize_triple(1, 2, 3), 0)
