@@ -10,12 +10,14 @@ moves j*x at least one full arc, that is
 ceil(m/k) <= (j*s mod m) <= m - ceil(m/k), an O(1) test per pair (m, j).
 
 The search for (m, j) has two steps.  Every modulus up to
-SMALL_MODULUS_LIMIT is scanned with every multiplier.  Beyond it only the
-row-collapse moduli |s - t| and s + t of two distances are tried, one for
-each move of intmat.COLLAPSE_MOVES: there two distances coincide up to
-sign, two window constraints are left, and a Euclid-style descent finds a
-multiplier in O(log m) or proves there is none.  No search over colorings
-runs, and no word longer than MAX_WORD_LENGTH is ever built.
+SMALL_MODULUS_LIMIT is decided by three lookups in a table of multiplier
+bitmasks, one per residue of a distance, whose lowest common bit is the
+least passing multiplier.  Beyond it only the row-collapse moduli |s - t|
+and s + t of two distances are tried, one for each move of
+intmat.COLLAPSE_MOVES: there two distances coincide up to sign, two window
+constraints are left, and a Euclid-style descent finds a multiplier in
+O(log m) or proves there is none.  No search over colorings runs, and no
+word longer than MAX_WORD_LENGTH is ever built.
 
 A certificate bundles the classification answer with one witness per
 bound, each from one function: upper_bound gives a re-verified rotation
@@ -47,9 +49,28 @@ LOWER_TRIVIAL = "trivial"
 LOWER_PARITY = "parity"
 LOWER_SEGMENT = "segment"
 
-# Every modulus up to this one is scanned with every multiplier, which keeps
-# the first word in (m, j) order; past it only the collapse moduli are tried.
+# Every modulus up to this one is decided by a bitmask lookup over all its
+# multipliers, which keeps the first word in (m, j) order; past it only the
+# collapse moduli are tried.
 SMALL_MODULUS_LIMIT = 64
+
+# Words of a small modulus with at most this many colors are built once and
+# shared: chi <= 4 for every triple, so certify never asks for more.
+_SHARED_WORD_COLORS = 4
+
+# Multiplier bitmasks of the small moduli, one list per window (m, lo) with
+# 2 <= m <= SMALL_MODULUS_LIMIT and lo = ceil(m/k) <= (m + 1)/2, built whole
+# by _window_masks: at most 1,055 lists of m ints.
+_WINDOW_MASKS = {}
+
+# The index of those lists for each k <= SMALL_MODULUS_LIMIT, built by
+# _color_tables: at most 63 lists of 65 references.
+_COLOR_TABLES = {}
+
+# The shared words, one per (m, j, k) with m <= SMALL_MODULUS_LIMIT,
+# 1 <= j <= m // 2 and 2 <= k <= _SHARED_WORD_COLORS: at most 3,072 words.
+# PeriodicColoring is frozen, so every caller may hold the same one.
+_SHARED_WORDS = {}
 
 # Longest color word the constructor builds, and longest segment 0..L the
 # lower bound refutes.  Anything longer is refused with InvalidInputError
@@ -182,7 +203,9 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
     The first proper word x -> floor(k * (j*x mod m) / m) is returned from:
 
     1. every modulus m = 2 .. min(b + c, SMALL_MODULUS_LIMIT) with every
-       multiplier j = 1 .. m // 2, in that order;
+       multiplier j = 1 .. m // 2, in that order, each modulus decided by
+       three lookups in its table of multiplier bitmasks (_window_masks):
+       the least j is the lowest bit the three residues' masks share;
     2. the distinct collapse moduli |s - t| and s + t of two distances, one
        per move of intmat.COLLAPSE_MOVES, that lie above SMALL_MODULUS_LIMIT
        and at most b + c, in ascending order, each decided in O(log m) by
@@ -191,28 +214,28 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
     Below the chromatic number the result is None, and lower_bound proves
     why; at or above it, no triple is known to give None.
 
+    Memory: the first call with k builds the table of every window
+    (m, ceil(m/k)) of step 1 not yet built, and keeps it, at most 1,055
+    lists of m ints in all; a word of step 1 with k <= 4 colors is built on
+    first use and then shared, at most 3,072 words.  No word with more
+    colors, and none of step 2, is kept.
+
     Raises InvalidInputError when k is not an int (``bool`` refused), and,
     naming the triple and the period, when the word found is longer than
-    MAX_WORD_LENGTH.
+    MAX_WORD_LENGTH; that check comes before any shared word is read.
     """
     if type(k) is not int:
         raise InvalidInputError("number of colors must be an integer")
-    if k < 1:
-        return None
+    if k < 2:
+        return None  # the window [m, 0] of one color is empty
     a, b, c = t.a, t.b, t.c
     bound = b + c
+    tables = _COLOR_TABLES.get(k) or _color_tables(k)
     for m in range(2, min(bound, SMALL_MODULUS_LIMIT) + 1):
-        ra, rb, rc = a % m, b % m, c % m
-        if not (ra and rb and rc):
-            continue  # a loop on Z_m: j*0 = 0 lies outside every window
-        lo = -(-m // k)
-        hi = m - lo
-        # j and m - j give the residues r and m - r, and the window is
-        # symmetric under r -> m - r, so they pass or fail together and the
-        # first hit in ascending j has j <= m/2.
-        for j in range(1, m // 2 + 1):
-            if lo <= j * ra % m <= hi and lo <= j * rb % m <= hi and lo <= j * rc % m <= hi:
-                return _rotation_word(t, m, j, k)
+        masks = tables[m]
+        hit = masks[a % m] & masks[b % m] & masks[c % m]
+        if hit:
+            return _rotation_word(t, m, (hit & -hit).bit_length() - 1, k)
     d = (a, b, c)
     moduli = {abs(d[i] - sign * d[j]) for i, j, sign in COLLAPSE_MOVES}
     for m in sorted(n for n in moduli if SMALL_MODULUS_LIMIT < n <= bound):
@@ -226,13 +249,60 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
     return None
 
 
+def _color_tables(k: int) -> list:
+    """The table of every small modulus for k colors: entry m, for
+    2 <= m <= SMALL_MODULUS_LIMIT, is the window (m, ceil(m/k))'s list of
+    multiplier bitmasks from _window_masks.  Every table is built at the
+    first call with k, shared with every k of the same window, and kept.
+    The index itself is kept only for k <= SMALL_MODULUS_LIMIT, which bounds
+    it; a larger k has lo = 1 at every small modulus, and its index is
+    rebuilt from the kept tables."""
+    tables = [None, None]
+    for m in range(2, SMALL_MODULUS_LIMIT + 1):
+        lo = -(-m // k)
+        tables.append(_WINDOW_MASKS.get((m, lo)) or _window_masks(m, lo))
+    if k <= SMALL_MODULUS_LIMIT:
+        _COLOR_TABLES[k] = tables
+    return tables
+
+
+def _window_masks(m: int, lo: int) -> list:
+    """The multiplier bitmasks of modulus m and window [lo, m - lo], with
+    1 <= lo <= (m + 1)/2, stored in _WINDOW_MASKS[m, lo]: bit j of
+    masks[r] is set exactly when lo <= j*r mod m <= m - lo, for
+    1 <= j <= m // 2.
+
+    Bit 0 is never set, because 0 lies outside the window, so masks[0] == 0
+    and a distance divisible by m (a loop on Z_m) leaves no bit.  The window
+    is symmetric under r -> m - r, so j and m - j pass or fail together and
+    the least passing multiplier is at most m // 2; for the same reason
+    masks[m - r] == masks[r].  Each mask is read in one go: the window
+    pattern, repeated, sliced from j = m // 2 down to 0 with step r.
+    """
+    half = m // 2
+    window = "0" * lo + "1" * (m - 2 * lo + 1) + "0" * (lo - 1)
+    # long enough that position half * r exists for every r <= half
+    cycle = window * (half * half // m + 1)
+    masks = [0] * m
+    for r in range(1, half + 1):
+        masks[r] = masks[m - r] = int(cycle[half * r :: -r], 2)
+    _WINDOW_MASKS[m, lo] = masks
+    return masks
+
+
 def _rotation_word(t: DistanceTriple, m: int, j: int, k: int) -> PeriodicColoring:
     if m > MAX_WORD_LENGTH:
         raise InvalidInputError(
             f"the rotation {_brief(k)}-coloring word for {_brief(t.distances())} "
             f"has period {_brief(m)}, above MAX_WORD_LENGTH = {MAX_WORD_LENGTH}"
         )
-    return PeriodicColoring(m, tuple([k * (j * x % m) // m for x in range(m)]), k, m)
+    key = (m, j, k)
+    word = _SHARED_WORDS.get(key)
+    if word is None:
+        word = PeriodicColoring(m, tuple([k * (j * x % m) // m for x in range(m)]), k, m)
+        if m <= SMALL_MODULUS_LIMIT and k <= _SHARED_WORD_COLORS:
+            _SHARED_WORDS[key] = word
+    return word
 
 
 def _collapse_multiplier(m: int, k: int, r1: int, r2: int) -> "int | None":

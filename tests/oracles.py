@@ -43,6 +43,24 @@ def chromatic_number(adjacency):
             return k, colors
 
 
+def small_modulus_scan(distances, k, limit):
+    # The two-loop scan that find_periodic_coloring's first step replaced:
+    # the first (m, j), every modulus m = 2 .. min(b + c, limit) with every
+    # multiplier j = 1 .. m // 2 in that order, that moves each distance s
+    # into the window ceil(m/k) <= j*s mod m <= m - ceil(m/k), or None.
+    a, b, c = distances
+    for m in range(2, min(b + c, limit) + 1):
+        ra, rb, rc = a % m, b % m, c % m
+        if not (ra and rb and rc):
+            continue  # a loop on Z_m
+        lo = -(-m // k)
+        hi = m - lo
+        for j in range(1, m // 2 + 1):
+            if lo <= j * ra % m <= hi and lo <= j * rb % m <= hi and lo <= j * rc % m <= hi:
+                return m, j
+    return None
+
+
 def annihilation_residues(m: LabeledMatrix) -> list[int]:
     # Recomputed from scratch so tests do not lean on the constructor check.
     out = []

@@ -5,8 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import segment_adjacency
+from oracles import segment_adjacency, small_modulus_scan
 
+from distchroma import periodic
 from distchroma.circulant import backtrack_coloring
 from distchroma.cli import iter_triples, main
 from distchroma.errors import CertificationError, InvalidInputError
@@ -16,6 +17,7 @@ from distchroma.periodic import (
     LOWER_SEGMENT,
     LOWER_TRIVIAL,
     MAX_WORD_LENGTH,
+    SMALL_MODULUS_LIMIT,
     PeriodicColoring,
     _collapse_multiplier,
     _least_multiple_in,
@@ -64,6 +66,35 @@ def test_rotation_word_found_without_search():
             assert 2 <= pc.period <= t.b + t.c
             assert all(0 <= color < k for color in pc.colors)
             assert word_is_proper(t.distances(), pc.colors)
+
+
+def assert_small_moduli_match_the_scan(t, k):
+    # Step 1 of find_periodic_coloring returns the word of the first (m, j)
+    # the two-loop scan finds; when the scan finds none, any word comes from
+    # a collapse modulus above SMALL_MODULUS_LIMIT.
+    hit = small_modulus_scan(t.distances(), k, SMALL_MODULUS_LIMIT)
+    try:
+        pc = find_periodic_coloring(t, k)
+    except InvalidInputError as exc:
+        assert hit is None and "MAX_WORD_LENGTH" in str(exc)
+        return
+    if hit is None:
+        assert pc is None or pc.period > SMALL_MODULUS_LIMIT
+    else:
+        m, j = hit
+        assert (pc.period, pc.colors) == (m, tuple(k * (j * x % m) // m for x in range(m)))
+
+
+def test_small_moduli_match_the_scan():
+    for t in iter_triples(60):
+        for k in range(1, 7):
+            assert_small_moduli_match_the_scan(t, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(1, 10**12)] * 3), st.integers(1, 8))
+def test_small_moduli_match_the_scan_for_large_distances(raw, k):
+    assert_small_moduli_match_the_scan(normalize_triple(*raw), k)
 
 
 def test_rotation_word_at_collapse_modulus():
@@ -117,10 +148,29 @@ def test_least_multiple_in_matches_brute_force(case):
 
 
 def test_word_envelope(monkeypatch):
+    # the first word of (1, 3, 4) has period 7; it is shared before the
+    # envelope shrinks, and the envelope is still checked first
+    t = normalize_triple(1, 3, 4)
+    assert find_periodic_coloring(t, 4).period == 7
     monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 6)
-    # the first word of (1, 3, 4) has period 7
     with pytest.raises(InvalidInputError, match=r"\(1, 3, 4\) has period 7"):
-        find_periodic_coloring(normalize_triple(1, 3, 4), 4)
+        find_periodic_coloring(t, 4)
+
+
+def test_tables_and_shared_words_stay_bounded():
+    for t in iter_triples(40):
+        for k in range(1, 71):
+            find_periodic_coloring(t, k)
+    # the bounds _WINDOW_MASKS, _COLOR_TABLES and _SHARED_WORDS state
+    assert len(periodic._WINDOW_MASKS) <= 1055
+    for (m, lo), masks in periodic._WINDOW_MASKS.items():
+        assert 2 <= m <= SMALL_MODULUS_LIMIT and 1 <= lo <= (m + 1) / 2 and len(masks) == m
+    assert len(periodic._COLOR_TABLES) <= 63
+    assert all(2 <= k <= SMALL_MODULUS_LIMIT for k in periodic._COLOR_TABLES)
+    assert len(periodic._SHARED_WORDS) <= 3072
+    for (m, j, k), word in periodic._SHARED_WORDS.items():
+        assert 2 <= m <= SMALL_MODULUS_LIMIT and 1 <= j <= m // 2 and 2 <= k <= 4
+        assert (word.period, word.k) == (m, k)
 
 
 @st.composite
