@@ -22,12 +22,12 @@ word longer than MAX_WORD_LENGTH is ever built.
 A certificate bundles the classification answer with one witness per
 bound, each from one function: upper_bound gives a re-verified rotation
 word with period at most b + c, and lower_bound gives an edge, a parity
-argument or an uncolorable segment 0..L with L = b + c or 2(b + c).  A
-segment is refuted by its forced-equal classes alone: the vertices that
-every 3-coloring forces to share a color are merged, and an edge inside a
-class is the whole refutation, so no search runs on this side either.  The
-same two functions answer `color --k` for any number of colors, above or
-below the chromatic number.
+argument or an uncolorable segment 0..L with L = a + b + c, or 2(b + c)
+should that length stand.  A segment is refuted by its forced-equal
+classes alone: the vertices that every 3-coloring forces to share a color
+are merged, and an edge inside a class is the whole refutation, so no
+search runs on this side either.  The same two functions answer
+`color --k` for any number of colors, above or below the chromatic number.
 
 A certificate is written out here and nowhere else: as a dict by
 ChiCertificate.to_json_dict, and as the text `chi --json` prints by
@@ -111,7 +111,8 @@ class LowerBound:
     kind "segment": the vertices 0..length admit no 3-coloring, established
     by segment_colorable: an edge between two vertices that every
     3-coloring forces to share a color is the whole refutation.  length is
-    b + c or 2(b + c), the first of the two that is refuted.
+    the first of a + b + c and 2(b + c) that is refuted; when a + b + c
+    lies past MAX_WORD_LENGTH, b + c takes its place.
     """
 
     kind: str
@@ -505,8 +506,11 @@ def upper_bound(t: DistanceTriple, k: int) -> PeriodicColoring:
 def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
     """The witness that the triple's graph has no proper k-coloring, for
     1 <= k < chi: an edge, parity, or an uncolorable segment 0..L, tried at
-    L = b + c and then at L = 2(b + c).  Every chi = 4 triple measured is
-    refuted at one of those two lengths.
+    L = a + b + c and then at L = 2(b + c).  Every chi = 4 triple measured,
+    every coprime one with c <= 300 among them, is refuted at the first, so
+    one segment is built per certificate.  When a + b + c lies past
+    MAX_WORD_LENGTH, L = b + c is tried first instead, so a triple refuted
+    at b + c inside the envelope is still answered.
 
     Raises CertificationError when the witness fails, which for k < chi
     would contradict the classification, and InvalidInputError for k that
@@ -524,11 +528,14 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
         if is_bipartite(t):
             raise CertificationError(f"parity lower bound unsound for {_brief(t.distances())}")
         return _PARITY
-    for length in (t.b + t.c, 2 * (t.b + t.c)):
+    first = t.a + t.b + t.c
+    if first > MAX_WORD_LENGTH:
+        first = t.b + t.c
+    for length in (first, 2 * (t.b + t.c)):
         if not segment_colorable(t, length, k):
             return LowerBound(LOWER_SEGMENT, length)
     raise CertificationError(
-        f"no uncolorable segment at L = {_brief(t.b + t.c)} or {_brief(length)} "
+        f"no uncolorable segment at L = {_brief(first)} or {_brief(length)} "
         f"for {_brief(t.distances())}"
     )
 

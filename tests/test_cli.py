@@ -83,7 +83,7 @@ def test_word_beyond_envelope_is_refused(capsys, command):
 
 
 @pytest.mark.parametrize(
-    "distances, length", [(("1", "2", "999"), 1001), (("2", "499", "501"), 1000)]
+    "distances, length", [(("1", "2", "999"), 1002), (("2", "499", "501"), 1002)]
 )
 def test_chi_json_long_segment(capsys, distances, length):
     assert main(["chi", *distances, "--json"]) == 0
@@ -92,7 +92,8 @@ def test_chi_json_long_segment(capsys, distances, length):
 
 
 def test_chi_json_segment_envelope(capsys, monkeypatch):
-    # The segment that refutes three colors for (1, 2, 999) has L = 1001.
+    # a + b + c = 1002 lies past this envelope, so b + c = 1001 is tried
+    # first, and that is refused too.
     monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 1000)
     assert main(["chi", "1", "2", "999", "--json"]) == 2
     captured = capsys.readouterr()
@@ -152,7 +153,7 @@ def test_color_invalid_k(capsys):
             "3",
             1,
             "normalized (2, 4, 6) -> (1, 2, 3) with scale 2\n",
-            "no 3-coloring: segment lower bound with L = 5 (chromatic number is 4)",
+            "no 3-coloring: segment lower bound with L = 6 (chromatic number is 4)",
         ),
     ],
 )

@@ -158,8 +158,8 @@ def digests() -> "dict[str, str]":
 
 
 DIGESTS = {
-    "chi": "57f4cf2099a4235ad2e204007c153ca478e64ed72f5b97d43a44c7e18f2f79f7",
-    "color": "63a71996582a0f245ac5e3af67a1452e4609edb157819c252f432d003ef68ed0",
+    "chi": "6a9ef826b1b30ec49c38d0053deaebd2835ccf62636bd00ca4f4a8dcd3b63e68",
+    "color": "b9c87e4d4b054c1d9a44d1b8c90dfc41f9638843fa46b1b445f8da6ae3b08b61",
     "matrix": "42cb9c6148de84228b7e687188bba9c56eb46d68eb398023446a90c9ab2891e1",
     "verify": "d8293461af626311e6b4e71856331692eb34803a44fff7a8006f3306c7f737e6",
     "sweep": "c06c10bfd969f18b58bf679e3a4ca89326193235339d80060fa6b5ca46eb0e63",

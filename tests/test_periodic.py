@@ -320,43 +320,44 @@ def test_segment_uncolorable_for_1_2_6():
     assert raw_segment_colorable(t, 48, 4)
 
 
-# Lower-bound segment length of certify() for every four-chromatic coprime
-# triple with c <= 20, recorded with an in-order backtracking search rather
-# than the solver under test.  An exact solver reproduces each entry; one
-# that declared a segment uncolorable too early would shorten it.
-SEGMENT_LENGTHS = {
-    (1, 2, 3): 5, (1, 2, 6): 8, (1, 2, 9): 11, (1, 2, 12): 14,
-    (1, 2, 15): 17, (1, 2, 18): 20, (1, 3, 4): 7, (1, 5, 6): 11,
-    (1, 6, 7): 13, (1, 8, 9): 17, (1, 9, 10): 19, (1, 11, 12): 23,
-    (1, 12, 13): 25, (1, 14, 15): 29, (1, 15, 16): 31, (1, 17, 18): 35,
-    (1, 18, 19): 37, (2, 3, 5): 8, (2, 7, 9): 16, (2, 9, 11): 20,
-    (2, 13, 15): 28, (2, 15, 17): 32, (3, 4, 7): 11, (3, 5, 8): 26,
-    (3, 7, 10): 17, (3, 8, 11): 19, (3, 10, 13): 46, (3, 11, 14): 25,
-    (3, 13, 16): 29, (3, 14, 17): 62, (3, 16, 19): 35, (3, 17, 20): 37,
-    (4, 5, 9): 14, (4, 9, 13): 44, (4, 11, 15): 52, (4, 15, 19): 34,
-    (5, 6, 11): 17, (5, 7, 12): 38, (5, 9, 14): 46, (5, 12, 17): 58,
-    (5, 13, 18): 62, (6, 7, 13): 20, (6, 11, 17): 56, (6, 13, 19): 64,
-    (7, 8, 15): 23, (7, 9, 16): 50, (7, 11, 18): 58, (7, 12, 19): 62,
-    (8, 9, 17): 26, (9, 10, 19): 29, (9, 11, 20): 62,
+# The four-chromatic coprime triples with c <= 20 whose segment 0..b+c is
+# 3-colorable, recorded with the exact solver rather than the refutation
+# under test; the other 36 of the 51 are refuted already at b + c.  A
+# refutation that declared a segment uncolorable too early would refute
+# one of these.
+STANDING_AT_B_PLUS_C = {
+    (3, 5, 8), (3, 10, 13), (3, 14, 17), (4, 9, 13), (4, 11, 15),
+    (5, 7, 12), (5, 9, 14), (5, 12, 17), (5, 13, 18), (6, 11, 17),
+    (6, 13, 19), (7, 9, 16), (7, 11, 18), (7, 12, 19), (9, 11, 20),
 }
 
 
 def test_segment_length_golden():
-    found = {}
-    for t in iter_triples(20):
+    four = [t for t in iter_triples(20) if chi_formula(t)[0] == 4]
+    assert len(four) == 51
+    assert {t.distances() for t in four if segment_colorable(t, t.b + t.c, 3)} == STANDING_AT_B_PLUS_C
+
+
+def test_segment_length_is_a_plus_b_plus_c():
+    # Every four-chromatic coprime triple with c <= 60 is refuted at the
+    # first length lower_bound tries.
+    count = 0
+    for t in iter_triples(60):
         if chi_formula(t)[0] == 4:
             cert = certify(t)
-            assert cert.lower.kind == LOWER_SEGMENT
-            found[t.distances()] = cert.lower.length
-    assert found == SEGMENT_LENGTHS
+            assert (cert.lower.kind, cert.lower.length) == (LOWER_SEGMENT, t.a + t.b + t.c), t
+            count += 1
+    assert count == 433
 
 
 def test_segment_family_a_a1_2a1():
     # (a, a + 1, 2a + 1) has chi = 4, and three colors fail already on
     # 0..b+c; the plain search doubled its cost with each step of a.
     for a in range(17, 41):
-        cert = certify(normalize_triple(a, a + 1, 2 * a + 1))
-        assert (cert.lower.kind, cert.lower.length) == (LOWER_SEGMENT, cert.triple.b + cert.triple.c)
+        t = normalize_triple(a, a + 1, 2 * a + 1)
+        assert not segment_colorable(t, t.b + t.c, 3)
+        cert = certify(t)
+        assert (cert.lower.kind, cert.lower.length) == (LOWER_SEGMENT, t.a + t.b + t.c)
 
 
 @pytest.mark.parametrize("raw", [(35, 141, 176), (34, 339, 373), (17, 373, 390), (58, 231, 289)])
@@ -380,18 +381,21 @@ def test_no_program_path_runs_the_solver(monkeypatch, capsys):
         for k in range(1, chi):
             assert main(["color", *map(str, t.distances()), "--k", str(k)]) == 1
     capsys.readouterr()
-    # at L = b + c the classes leave the segment standing; twice that refutes it
-    cert = certify(normalize_triple(9663, 9851, 19514))
-    assert (cert.lower.kind, cert.lower.length) == (LOWER_SEGMENT, 58730)
+    # at L = b + c the classes leave the segment standing; a + b + c refutes it
+    t = normalize_triple(9663, 9851, 19514)
+    assert segment_colorable(t, t.b + t.c, 3)
+    cert = certify(t)
+    assert (cert.lower.kind, cert.lower.length) == (LOWER_SEGMENT, 39028)
 
 
 @settings(deadline=None)
-@given(triples, st.sampled_from([1, 2]))
-def test_segment_monotone_in_k(t, multiple):
+@given(triples, st.sampled_from([(0, 1), (1, 1), (0, 2)]))
+def test_segment_monotone_in_k(t, coefficients):
     # The refutation agrees with the uncontracted solver at the lengths
-    # lower_bound tries first, and a segment that three colors cover is
-    # covered by four.
-    length = multiple * (t.b + t.c)
+    # lower_bound tries, b + c, a + b + c and 2(b + c), and a segment that
+    # three colors cover is covered by four.
+    x, y = coefficients
+    length = x * t.a + y * (t.b + t.c)
     colorable = raw_segment_colorable(t, length, 3)
     assert segment_colorable(t, length, 3) == colorable
     if colorable:
@@ -404,7 +408,7 @@ def test_lower_bound_kinds():
     t = normalize_triple(1, 2, 3)
     assert lower_bound(t, 1).kind == LOWER_TRIVIAL
     assert lower_bound(t, 2).kind == LOWER_PARITY
-    assert lower_bound(t, 3) == type(lower_bound(t, 1))(LOWER_SEGMENT, 5)
+    assert lower_bound(t, 3) == type(lower_bound(t, 1))(LOWER_SEGMENT, 6)
 
 
 def test_lower_bound_is_the_certificate_lower_bound():
@@ -431,7 +435,8 @@ def test_segment_envelope(monkeypatch):
         InvalidInputError, match=rf"^segment stage for \(2, 3, 5\): L = {MAX_WORD_LENGTH + 1} exceeds"
     ):
         segment_colorable(normalize_triple(2, 3, 5), MAX_WORD_LENGTH + 1, 3)
-    # The segment that refutes three colors for (1, 2, 999) has L = 1001.
+    # For (1, 2, 999), a + b + c = 1002 lies past this envelope, so
+    # lower_bound tries b + c = 1001 first, and that is refused too.
     monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 1000)
     with pytest.raises(InvalidInputError, match=r"segment.*\(1, 2, 999\).*L = 1001"):
         certify(normalize_triple(1, 2, 999))
@@ -445,9 +450,24 @@ def test_lower_bound_refuses_when_neither_length_is_refuted(monkeypatch):
         return True
 
     monkeypatch.setattr("distchroma.periodic.segment_colorable", never_refuted)
-    with pytest.raises(CertificationError, match=r"no uncolorable segment .* for \(2, 3, 5\)$"):
+    with pytest.raises(
+        CertificationError, match=r"^no uncolorable segment at L = 10 or 16 for \(2, 3, 5\)$"
+    ):
+        lower_bound(normalize_triple(2, 3, 5), 3)
+    assert tried == [10, 16]
+    # Past the envelope b + c is tried first, and the error says so.
+    tried.clear()
+    monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 9)
+    with pytest.raises(CertificationError, match=r"^no uncolorable segment at L = 8 or 16 for"):
         lower_bound(normalize_triple(2, 3, 5), 3)
     assert tried == [8, 16]
+
+
+def test_lower_bound_stays_inside_the_envelope(monkeypatch):
+    # a + b + c = 10 lies past the envelope, so b + c = 8 is tried first and
+    # refutes three colors; without that guard the triple would be refused.
+    monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 9)
+    assert certify(normalize_triple(2, 3, 5)).lower.length == 8
 
 
 # --------------------------------------------------------- certificates
@@ -474,7 +494,7 @@ def test_certify_four_colors_uses_segment():
     assert cert.upper.period == 4
     assert cert.upper.period <= 8
     assert cert.lower.kind == LOWER_SEGMENT
-    assert cert.lower.length == 8 == cert.triple.b + cert.triple.c
+    assert cert.lower.length == 10 == cert.triple.a + cert.triple.b + cert.triple.c
     assert not segment_colorable(cert.triple, cert.lower.length, 3)
 
 
@@ -482,7 +502,7 @@ def test_certify_first_quotient_for_1_2_3_is_the_4_clique():
     cert = certify(normalize_triple(1, 2, 3))
     assert cert.upper.period == 4
     assert cert.upper.colors == (0, 1, 2, 3)
-    assert cert.lower == type(cert.lower)(LOWER_SEGMENT, 5)
+    assert cert.lower == type(cert.lower)(LOWER_SEGMENT, 6)
 
 
 @settings(max_examples=40, deadline=None)
