@@ -131,7 +131,7 @@ def _cmd_verify(args) -> int:
     if args.period < 1:
         raise InvalidInputError("period must be positive")
     try:
-        colors = tuple(int(part) for part in args.colors.split(","))
+        colors = tuple(map(_integer, args.colors.split(",")))
     except ValueError:
         raise InvalidInputError("--colors must be a comma-separated list of integers") from None
     if len(colors) != args.period:

@@ -18,10 +18,6 @@ class InvalidInputError(ValueError):
     """Raised when arguments violate a documented precondition."""
 
 
-class QuotientLoopsError(ValueError):
-    """Raised when a requested quotient would put a loop on some vertex."""
-
-
 class CertificationError(RuntimeError):
     """Raised when certificate construction cannot validate its own witnesses."""
 

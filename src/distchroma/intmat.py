@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import add, mul, sub
 
-from .errors import InvalidInputError, QuotientLoopsError
+from .errors import InvalidInputError
 
 # Sets a field of a frozen instance, as the dataclass's own __init__ does.
 _set = object.__setattr__
@@ -153,33 +153,6 @@ def hermite_reduce_step(m: LabeledMatrix) -> tuple[int, int, LabeledMatrix]:
     return q, r, LabeledMatrix(rows, m.label, m.modulus)
 
 
-def collapse_rows(m: LabeledMatrix, i: int, j: int, sign: int) -> LabeledMatrix:
-    """Quotient an integer-labelled 3x2 matrix by merging rows i and j.
-
-    Row i becomes row_i + sign*row_j and row j is deleted.  sign = -1
-    (subtract) reduces the ambient group modulo label_i + label_j; sign = +1
-    (add) reduces modulo |label_i - label_j|.  Surviving labels are reduced
-    into [0, n); the result is the relation matrix of the circulant on Z_n
-    with those labels.  Quotients that would place a loop on the graph are
-    rejected with QuotientLoopsError: n < 2, or n dividing any label entry.
-    """
-    _require_collapsible(m)
-    if type(sign) is not int or sign not in (-1, 1):
-        raise InvalidInputError("sign must be -1 or +1")
-    if type(i) is not int or type(j) is not int or i == j or not (0 <= i < 3 and 0 <= j < 3):
-        raise InvalidInputError("row indices must be distinct and in range")
-    quotient = _collapse(m, i, j, sign)
-    if type(quotient) is str:
-        raise QuotientLoopsError(quotient)
-    return quotient
-
-
-def _require_collapsible(m: LabeledMatrix) -> None:
-    """Row collapses apply to 3-row matrices over the integers only."""
-    if len(m.entries) != 3 or m.modulus != 0:
-        raise InvalidInputError("row collapse requires a 3-row matrix over the integers")
-
-
 def _collapse(m: LabeledMatrix, i: int, j: int, sign: int) -> "LabeledMatrix | str":
     """Rows i and j of m merged into row i, over Z_n with
     n = |label_i - sign*label_j| and checked by the constructor like any
@@ -207,14 +180,23 @@ COLLAPSE_MOVES = ((0, 1, -1), (0, 1, 1), (0, 2, -1), (0, 2, 1), (1, 2, -1), (1, 
 
 
 def collapses(m: LabeledMatrix) -> list[tuple[int, int, int, "LabeledMatrix | str"]]:
-    """Every row collapse of ``m`` as (i, j, sign, result), in COLLAPSE_MOVES
-    order: result is the quotient collapse_rows returns, or, for a move it
-    rejects, the text of its QuotientLoopsError."""
-    _require_collapsible(m)
+    """Every row collapse of the 3-row integer matrix ``m`` as
+    (i, j, sign, result), in COLLAPSE_MOVES order.
+
+    Row i becomes row_i + sign*row_j and row j is deleted.  sign = -1
+    (subtract) reduces the ambient group modulo label_i + label_j; sign = +1
+    (add) reduces modulo |label_i - label_j|.  Surviving labels are reduced
+    into [0, n), and result is the relation matrix of the circulant on Z_n
+    with those labels.  A quotient that would place a loop on the graph
+    (n < 2, or n dividing any label entry) is rejected, and result is then
+    the reason as a string.
+    """
+    if len(m.entries) != 3 or m.modulus != 0:
+        raise InvalidInputError("row collapse requires a 3-row matrix over the integers")
     return [(i, j, sign, _collapse(m, i, j, sign)) for i, j, sign in COLLAPSE_MOVES]
 
 
 def admissible_collapses(m: LabeledMatrix) -> list[tuple[int, int, int, LabeledMatrix]]:
     """The loop-free entries of collapses(m): (i, j, sign, quotient) for
-    each move collapse_rows does not reject, in COLLAPSE_MOVES order."""
+    each move it does not reject, in COLLAPSE_MOVES order."""
     return [move for move in collapses(m) if type(move[3]) is not str]

@@ -380,6 +380,9 @@ def test_digit_bound_does_not_follow_the_interpreter(capsys, limit):
         assert capsys.readouterr().err.endswith(
             "error: argument --max: invalid int value: '999999999999...' (4301 characters)\n"
         )
+        colors = "9" * (MAX_DIGITS + 1)
+        assert main(["verify", "1", "2", "3", "--period", "1", "--colors", colors]) == 2
+        assert refusal(capsys) == "error: --colors must be a comma-separated list of integers"
         with pytest.raises(InvalidInputError, match="4301 digits"):
             normalize_triple(1, int(x), int(x1))
         t = normalize_triple(1, 10 ** (MAX_DIGITS - 1), 10 ** (MAX_DIGITS - 1) + 1)

@@ -11,13 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import annihilation_residues, column_move
 
-from distchroma.errors import InvalidInputError, QuotientLoopsError
+from distchroma.errors import InvalidInputError
 from distchroma.intmat import (
     COLLAPSE_MOVES,
     LabeledMatrix,
     admissible_collapses,
     build_heuberger_matrix,
-    collapse_rows,
     collapses,
     hermite_reduce_step,
 )
@@ -247,7 +246,7 @@ def test_reduce_step_rejects_wrong_shape():
     broken = LabeledMatrix(((1, 1), (0, -1), (-3, -1)), (3, 2, 1), 0)  # entry (0,1) nonzero
     with pytest.raises(InvalidInputError):
         hermite_reduce_step(broken)
-    quotient = collapse_rows(LabeledMatrix(((2, -3), (-1, 0), (0, 1)), (1, 2, 3), 0), 1, 2, -1)
+    quotient = collapses(LabeledMatrix(((2, -3), (-1, 0), (0, 1)), (1, 2, 3), 0))[4][3]
     with pytest.raises(InvalidInputError):
         hermite_reduce_step(quotient)
     zero_pivot = LabeledMatrix(((1, 0), (-1, 0), (0, 0)), (1, 1, 2), 0)  # builder shape, pivot 0
@@ -274,9 +273,13 @@ def test_reduce_step_window_and_uniqueness(t):
 
 # ------------------------------------------------------ row collapse
 
+# collapses(m)[k] is the move COLLAPSE_MOVES[k]: index 0 merges rows 0 and 1
+# by subtraction, index 1 by addition, and index 4 merges rows 1 and 2 by
+# subtraction.
+
 def test_collapse_golden_modulus_five():
     m = LabeledMatrix(((2, -3), (-1, 0), (0, 1)), (1, 2, 3), 0)
-    q = collapse_rows(m, 1, 2, -1)
+    q = collapses(m)[4][3]
     assert q.modulus == 5
     assert q.label == (1, 2)
     assert q.entries == ((2, -3), (-1, -1))
@@ -285,16 +288,15 @@ def test_collapse_golden_modulus_five():
 
 def test_collapse_rejects_loops_and_degenerate_modulus():
     m = LabeledMatrix(((2, -3), (-1, 0), (0, 1)), (1, 2, 3), 0)
-    with pytest.raises(QuotientLoopsError):
-        collapse_rows(m, 0, 1, -1)  # modulus 3 divides the third label
+    # modulus 1 + 2 = 3 divides the third label
+    assert collapses(m)[0][3] == "distance 3 vanishes modulo 3"
     z = LabeledMatrix(((2, -6), (-1, 0), (0, 1)), (1, 2, 6), 0)
-    with pytest.raises(QuotientLoopsError):
-        collapse_rows(z, 0, 1, 1)  # modulus |1-2| = 1
+    assert collapses(z)[1][3] == "quotient modulus 1 is degenerate"  # |1 - 2|
 
 
 def test_collapse_golden_modulus_eight():
     z = LabeledMatrix(((2, -6), (-1, 0), (0, 1)), (1, 2, 6), 0)
-    q = collapse_rows(z, 1, 2, -1)
+    q = collapses(z)[4][3]
     assert q.modulus == 8
     assert q.label == (1, 2)
     # Reduction mod 8 commutes with the row merge on all three generators:
@@ -307,15 +309,9 @@ def test_collapse_golden_modulus_eight():
 
 def test_collapse_argument_validation():
     m = LabeledMatrix(((2, -3), (-1, 0), (0, 1)), (1, 2, 3), 0)
-    with pytest.raises(InvalidInputError):
-        collapse_rows(m, 1, 1, -1)
-    with pytest.raises(InvalidInputError):
-        collapse_rows(m, 0, 3, -1)
-    with pytest.raises(InvalidInputError):
-        collapse_rows(m, 0, 1, 2)
-    q = collapse_rows(m, 1, 2, -1)
-    with pytest.raises(InvalidInputError):
-        collapse_rows(q, 0, 1, -1)  # already collapsed: 2 rows, modulus set
+    q = collapses(m)[4][3]
+    with pytest.raises(InvalidInputError, match="3-row matrix over the integers"):
+        collapses(q)  # already collapsed: 2 rows, modulus set
 
 
 @given(triples)
@@ -329,28 +325,21 @@ def test_collapse_modulus_formula(t):
         assert annihilation_residues(quotient) == [0, 0]
 
 
-def _collapses_by_raising(m: LabeledMatrix) -> list:
-    # Each move's quotient from collapse_rows, or the text of the
-    # QuotientLoopsError it raises, checked against the loop rule recomputed
-    # here: a rejected move has n < 2 or n dividing a label.
-    found = []
-    for i, j, sign in COLLAPSE_MOVES:
+def _assert_collapses_obey_the_loop_rule(m: LabeledMatrix) -> None:
+    # The loop rule recomputed here: a move is rejected exactly when n < 2
+    # or n divides a label, and its result then names why; otherwise its
+    # result is the quotient over Z_n.
+    found = collapses(m)
+    assert [move[:3] for move in found] == list(COLLAPSE_MOVES)
+    for i, j, sign, result in found:
         n = abs(m.label[i] - sign * m.label[j])
-        loops = n < 2 or any(lab % n == 0 for lab in m.label)
-        try:
-            quotient = collapse_rows(m, i, j, sign)
-        except QuotientLoopsError as exc:
-            assert loops
-            found.append((i, j, sign, str(exc)))
-            continue
-        assert not loops
-        found.append((i, j, sign, quotient))
-    return found
-
-
-def _assert_collapse_paths_agree(m: LabeledMatrix) -> None:
-    found = _collapses_by_raising(m)
-    assert collapses(m) == found
+        if n < 2:
+            assert result == f"quotient modulus {n} is degenerate"
+        elif any(lab % n == 0 for lab in m.label):
+            lab = next(lab for lab in m.label if lab % n == 0)
+            assert result == f"distance {lab} vanishes modulo {n}"
+        else:
+            assert result.modulus == n
     assert admissible_collapses(m) == [move for move in found if type(move[3]) is not str]
 
 
@@ -365,13 +354,13 @@ def test_collapse_paths_agree_small_triples():
             for a in range(1, b + 1):
                 if gcd(a, b, c) == 1:
                     for m in _oriented_matrices(normalize_triple(a, b, c)):
-                        _assert_collapse_paths_agree(m)
+                        _assert_collapses_obey_the_loop_rule(m)
 
 
 @given(st.tuples(*[st.integers(1, 10**15)] * 3).map(lambda raw: normalize_triple(*raw)))
 def test_collapse_paths_agree_large_triples(t):
     for m in _oriented_matrices(t):
-        _assert_collapse_paths_agree(m)
+        _assert_collapses_obey_the_loop_rule(m)
 
 
 @settings(max_examples=60)
