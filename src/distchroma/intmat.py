@@ -15,9 +15,7 @@ from math import gcd
 from operator import add, mul, sub
 
 from .errors import InvalidInputError
-
-# Sets a field of a frozen instance, as the dataclass's own __init__ does.
-_set = object.__setattr__
+from .zhu import _slot_setters
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -85,9 +83,9 @@ class LabeledMatrix:
                 total += lab * row[j]
             if (total % modulus if modulus else total) != 0:
                 raise InvalidInputError(f"label does not annihilate column {j}")
-        _set(self, "entries", entries)
-        _set(self, "label", label)
-        _set(self, "modulus", modulus)
+        _set_entries(self, entries)
+        _set_label(self, label)
+        _set_modulus(self, modulus)
 
     def label_column_products(self) -> tuple[int, ...]:
         """Raw dot products label . column, one per column, before reduction."""
@@ -99,6 +97,9 @@ class LabeledMatrix:
             "label": list(self.label),
             "modulus": self.modulus,
         }
+
+
+_set_entries, _set_label, _set_modulus = _slot_setters(LabeledMatrix)
 
 
 def build_heuberger_matrix(a1: int, a2: int, a3: int) -> LabeledMatrix:

@@ -12,12 +12,13 @@ ceil(m/k) <= (j*s mod m) <= m - ceil(m/k), an O(1) test per pair (m, j).
 The search for (m, j) has two steps.  Every modulus up to
 SMALL_MODULUS_LIMIT is decided by three lookups in a table of multiplier
 bitmasks, one per residue of a distance, whose lowest common bit is the
-least passing multiplier.  Beyond it only the row-collapse moduli |s - t|
-and s + t of two distances are tried, one for each move of
-intmat.COLLAPSE_MOVES: there two distances coincide up to sign, two window
-constraints are left, and a Euclid-style descent finds a multiplier in
-O(log m) or proves there is none.  No search over colorings runs, and no
-word longer than MAX_WORD_LENGTH is ever built.
+least passing multiplier; there is one such table per number of colors,
+and every k >= SMALL_MODULUS_LIMIT shares one.  Beyond it only the
+row-collapse moduli |s - t| and s + t of two distances are tried, one for
+each move of intmat.COLLAPSE_MOVES: there two distances coincide up to
+sign, two window constraints are left, and a Euclid-style descent finds a
+multiplier in O(log m) or proves there is none.  No search over
+colorings runs, and no word longer than MAX_WORD_LENGTH is ever built.
 
 A certificate bundles the classification answer with one witness per
 bound, each from one function: upper_bound gives a re-verified rotation
@@ -58,13 +59,9 @@ SMALL_MODULUS_LIMIT = 64
 # shared: chi <= 4 for every triple, so certify never asks for more.
 _SHARED_WORD_COLORS = 4
 
-# Multiplier bitmasks of the small moduli, one list per window (m, lo) with
-# 2 <= m <= SMALL_MODULUS_LIMIT and lo = ceil(m/k) <= (m + 1)/2, built whole
-# by _window_masks: at most 1,055 lists of m ints.
-_WINDOW_MASKS = {}
-
-# The index of those lists for each k <= SMALL_MODULUS_LIMIT, built by
-# _color_tables: at most 63 lists of 65 references.
+# The multiplier bitmasks of every small modulus, one table per number of
+# colors k <= SMALL_MODULUS_LIMIT, built whole by _color_tables; every larger
+# k reads the table of SMALL_MODULUS_LIMIT.  At most 63 tables of 63 lists.
 _COLOR_TABLES = {}
 
 # The shared words, one per (m, j, k) with m <= SMALL_MODULUS_LIMIT,
@@ -215,10 +212,11 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
     Below the chromatic number the result is None, and lower_bound proves
     why; at or above it, no triple is known to give None.
 
-    Memory: the first call with k builds the table of every window
-    (m, ceil(m/k)) of step 1 not yet built, and keeps it, at most 1,055
-    lists of m ints in all; a word of step 1 with k <= 4 colors is built on
-    first use and then shared, at most 3,072 words.  No word with more
+    Memory: the first call with k builds the table of step 1 for
+    min(k, SMALL_MODULUS_LIMIT) colors and keeps it; certify's k = 2, 3, 4
+    keep three tables, about 125 kB, and a process that asks every k keeps
+    at most 63, about 3 MB.  A word of step 1 with k <= 4 colors is built
+    on first use and then shared, at most 3,072 words.  No word with more
     colors, and none of step 2, is kept.
 
     Raises InvalidInputError when k is not an int (``bool`` refused), and,
@@ -252,26 +250,23 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
 
 def _color_tables(k: int) -> list:
     """The table of every small modulus for k colors: entry m, for
-    2 <= m <= SMALL_MODULUS_LIMIT, is the window (m, ceil(m/k))'s list of
-    multiplier bitmasks from _window_masks.  Every table is built at the
-    first call with k, shared with every k of the same window, and kept.
-    The index itself is kept only for k <= SMALL_MODULUS_LIMIT, which bounds
-    it; a larger k has lo = 1 at every small modulus, and its index is
-    rebuilt from the kept tables."""
-    tables = [None, None]
-    for m in range(2, SMALL_MODULUS_LIMIT + 1):
-        lo = -(-m // k)
-        tables.append(_WINDOW_MASKS.get((m, lo)) or _window_masks(m, lo))
-    if k <= SMALL_MODULUS_LIMIT:
-        _COLOR_TABLES[k] = tables
+    2 <= m <= SMALL_MODULUS_LIMIT, is _window_masks(m, ceil(m/k)).  It is
+    built at the first call and kept in _COLOR_TABLES under
+    min(k, SMALL_MODULUS_LIMIT): ceil(m/k) = 1 at every small modulus once
+    k >= SMALL_MODULUS_LIMIT, so every such k reads one table."""
+    key = min(k, SMALL_MODULUS_LIMIT)
+    tables = _COLOR_TABLES.get(key)
+    if tables is None:
+        tables = [None, None]
+        tables += [_window_masks(m, -(-m // key)) for m in range(2, SMALL_MODULUS_LIMIT + 1)]
+        _COLOR_TABLES[key] = tables
     return tables
 
 
 def _window_masks(m: int, lo: int) -> list:
     """The multiplier bitmasks of modulus m and window [lo, m - lo], with
-    1 <= lo <= (m + 1)/2, stored in _WINDOW_MASKS[m, lo]: bit j of
-    masks[r] is set exactly when lo <= j*r mod m <= m - lo, for
-    1 <= j <= m // 2.
+    1 <= lo <= (m + 1)/2: bit j of masks[r] is set exactly when
+    lo <= j*r mod m <= m - lo, for 1 <= j <= m // 2.
 
     Bit 0 is never set, because 0 lies outside the window, so masks[0] == 0
     and a distance divisible by m (a loop on Z_m) leaves no bit.  The window
@@ -287,7 +282,6 @@ def _window_masks(m: int, lo: int) -> list:
     masks = [0] * m
     for r in range(1, half + 1):
         masks[r] = masks[m - r] = int(cycle[half * r :: -r], 2)
-    _WINDOW_MASKS[m, lo] = masks
     return masks
 
 

@@ -1,16 +1,17 @@
 """Tests for periodic colorings, lower-bound witnesses, and certificates."""
 
 import json
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import segment_adjacency, small_modulus_scan
+from oracles import properly_colored, segment_adjacency, small_modulus_scan
 
 from distchroma import periodic
 from distchroma.circulant import backtrack_coloring
 from distchroma.cli import iter_triples, main
-from distchroma.errors import CertificationError, InvalidInputError
+from distchroma.errors import MAX_DIGITS, CertificationError, InvalidInputError
 from distchroma.periodic import (
     ChiCertificate,
     LOWER_PARITY,
@@ -92,7 +93,11 @@ def test_small_moduli_match_the_scan():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.tuples(*[st.integers(1, 10**12)] * 3), st.integers(1, 8))
+@given(
+    st.tuples(*[st.integers(1, 10**12)] * 3),
+    # 63 and 64 read their own tables, 65 and 10**40 the table of 64
+    st.integers(1, 8) | st.sampled_from([63, 64, 65, 10**40]),
+)
 def test_small_moduli_match_the_scan_for_large_distances(raw, k):
     assert_small_moduli_match_the_scan(normalize_triple(*raw), k)
 
@@ -158,15 +163,23 @@ def test_word_envelope(monkeypatch):
 
 
 def test_tables_and_shared_words_stay_bounded():
-    for t in iter_triples(40):
-        for k in range(1, 71):
+    triples = list(iter_triples(40))
+    for k in range(1, 71):
+        # words are shared only for k <= 4; past it a few triples reach
+        # the table of k, which the first call builds whole
+        for t in triples if k <= 4 else triples[::500]:
             find_periodic_coloring(t, k)
-    # the bounds _WINDOW_MASKS, _COLOR_TABLES and _SHARED_WORDS state
-    assert len(periodic._WINDOW_MASKS) <= 1055
-    for (m, lo), masks in periodic._WINDOW_MASKS.items():
-        assert 2 <= m <= SMALL_MODULUS_LIMIT and 1 <= lo <= (m + 1) / 2 and len(masks) == m
-    assert len(periodic._COLOR_TABLES) <= 63
-    assert all(2 <= k <= SMALL_MODULUS_LIMIT for k in periodic._COLOR_TABLES)
+    # the bounds _COLOR_TABLES and _SHARED_WORDS state: one table per k up
+    # to SMALL_MODULUS_LIMIT, entry m of each a list of m masks
+    tables = periodic._COLOR_TABLES
+    assert sorted(tables) == list(range(2, SMALL_MODULUS_LIMIT + 1))
+    for table in tables.values():
+        assert len(table) == SMALL_MODULUS_LIMIT + 1
+        assert all(len(table[m]) == m for m in range(2, SMALL_MODULUS_LIMIT + 1))
+    # every k past SMALL_MODULUS_LIMIT reads its table, and adds none
+    for k in (SMALL_MODULUS_LIMIT + 1, 10**40):
+        assert periodic._color_tables(k) is tables[SMALL_MODULUS_LIMIT]
+    assert len(tables) == 63
     assert len(periodic._SHARED_WORDS) <= 3072
     for (m, j, k), word in periodic._SHARED_WORDS.items():
         assert 2 <= m <= SMALL_MODULUS_LIMIT and 1 <= j <= m // 2 and 2 <= k <= 4
@@ -218,6 +231,88 @@ def test_pullback_soundness(t, k):
         return
     assert pc.period == pc.modulus_origin <= t.b + t.c
     assert verify_periodic(t, pc)
+
+
+# ----------------------------------------------------------- lemma L
+#
+# If every distance is +-u or +-2u modulo m for a unit u, then
+# j = floor(m/3) * u^-1 mod m moves each distance to +-y or +-2y with
+# y = floor(m/3), and the window of k colors is symmetric; so the rotation
+# word of (m, j) is proper as soon as y and 2y lie in that window.  The
+# tests below check the lemma without calling the package's search.
+
+
+def in_window(m, k, r):
+    # ceil(m/k) <= r <= m - ceil(m/k), the window of the rotation k-word
+    lo = -(-m // k)
+    return lo <= r <= m - lo
+
+
+def test_lemma_l_window_inequality():
+    # y = floor(m/3) and 2y lie in the 4-color window for every m >= 3 but
+    # 5, and in the 3-color window whenever 3 divides m.
+    misses = []
+    for m in range(3, 10**5 + 1):
+        y = m // 3
+        if not (in_window(m, 4, y) and in_window(m, 4, 2 * y)):
+            misses.append(m)
+        if m % 3 == 0:
+            assert in_window(m, 3, y) and in_window(m, 3, 2 * y), m
+    assert misses == [5]
+
+
+def lemma_l_modulus(t):
+    # Lemma L's modulus m and unit u for Zhu's two chi = 4 families: every
+    # distance of (1, 2, 3k) is +-1 or 2 modulo a + c = 3k + 1, which also
+    # covers (1, 2, 3), and every distance of (a, b, a + b) is +-b or -2b
+    # modulo b + c = a + 2b.
+    a, b, c = t.distances()
+    if (a, b) == (1, 2) and c % 3 == 0:
+        return a + c, 1
+    assert c == a + b and a % 3 != b % 3, t
+    return b + c, b
+
+
+def assert_lemma_l_window(t):
+    # The lemma's hypothesis and conclusion for its (m, j), by arithmetic
+    # alone: returns (m, j).
+    m, u = lemma_l_modulus(t)
+    assert 3 <= m <= t.b + t.c and m != 5
+    assert {d % m for d in t.distances()} <= {u % m, -u % m, 2 * u % m, -2 * u % m}
+    j = m // 3 * pow(u, -1, m) % m
+    assert all(in_window(m, 4, j * d % m) for d in t.distances())
+    return m, j
+
+
+def test_lemma_l_words_for_every_small_chi_four_triple():
+    cases = [t for t in iter_triples(60) if chi_formula(t)[0] == 4]
+    assert len(cases) == 433
+    for t in cases:
+        m, j = assert_lemma_l_window(t)
+        word = [4 * (j * x % m) // m for x in range(m)]
+        assert properly_colored(m, t.distances(), word), t
+
+
+@st.composite
+def chi_four_family_triples(draw):
+    # (1, 2, 3k) and coprime (a, b, a + b) with a, b not congruent mod 3,
+    # with b + c of up to MAX_DIGITS digits
+    digits = draw(st.integers(1, MAX_DIGITS - 1))
+    x = draw(st.integers(1, 10**digits))
+    if draw(st.booleans()):
+        return normalize_triple(1, 2, 3 * x)
+    y = draw(st.integers(1, 10**digits))
+    g = gcd(x, y)
+    a, b = sorted((x // g, y // g))
+    assume(a % 3 != b % 3)
+    return normalize_triple(a, b, a + b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chi_four_family_triples())
+def test_lemma_l_window_for_large_triples(t):
+    assert chi_formula(t)[0] == 4
+    assert_lemma_l_window(t)
 
 
 # -------------------------------------------------------- verification
