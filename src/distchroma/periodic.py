@@ -13,22 +13,23 @@ The search for (m, j) has two steps.  Every modulus up to
 SMALL_MODULUS_LIMIT is decided by three lookups in a table of multiplier
 bitmasks, one per residue of a distance, whose lowest common bit is the
 least passing multiplier; there is one such table per number of colors,
-and every k >= SMALL_MODULUS_LIMIT shares one.  Beyond it only the
-row-collapse moduli |s - t| and s + t of two distances are tried, one for
-each move of intmat.COLLAPSE_MOVES: there two distances coincide up to
-sign, two window constraints are left, and a Euclid-style descent finds a
-multiplier in O(log m) or proves there is none.  No search over
-colorings runs, and no word longer than MAX_WORD_LENGTH is ever built.
+and every k >= SMALL_MODULUS_LIMIT shares one.  Beyond it only the sum
+moduli a + b, a + c and b + c are tried: at s + t the distances s and t
+coincide up to sign, two window constraints are left, and a Euclid-style
+descent finds a multiplier in O(log m) or proves there is none.  No
+search over colorings runs, and no word longer than MAX_WORD_LENGTH is
+ever built.
 
 A certificate bundles the classification answer with one witness per
 bound, each from one function: upper_bound gives a re-verified rotation
 word with period at most b + c, and lower_bound gives an edge, a parity
-argument or an uncolorable segment 0..L with L = a + b + c, or 2(b + c)
-should that length stand.  A segment is refuted by its forced-equal
-classes alone: the vertices that every 3-coloring forces to share a color
-are merged, and an edge inside a class is the whole refutation, so no
-search runs on this side either.  The same two functions answer
-`color --k` for any number of colors, above or below the chromatic number.
+argument or an uncolorable segment 0..L with L = a + b + c, or b + c
+when a + b + c lies past MAX_WORD_LENGTH.  A segment is refuted by its
+forced-equal classes alone: the vertices that every 3-coloring forces to
+share a color are merged, and an edge inside a class is the whole
+refutation, so no search runs on this side either.  The same two
+functions answer `color --k` for any number of colors, above or below the
+chromatic number.
 
 A certificate is written out here and nowhere else: as a dict by
 ChiCertificate.to_json_dict, and as the text `chi --json` prints by
@@ -43,7 +44,6 @@ from operator import eq, ne
 from .circulant import backtrack_coloring  # not called; perfbench --trace 1 rebinds it here
 from .circulant import exists_coloring  # not called; perfbench --trace 1 rebinds it here
 from .errors import CertificationError, InvalidInputError, _brief
-from .intmat import COLLAPSE_MOVES
 from .zhu import ChiBranch, DistanceTriple, _slot_setters, chi_formula, is_bipartite
 
 LOWER_TRIVIAL = "trivial"
@@ -52,7 +52,7 @@ LOWER_SEGMENT = "segment"
 
 # Every modulus up to this one is decided by a bitmask lookup over all its
 # multipliers, which keeps the first word in (m, j) order; past it only the
-# collapse moduli are tried.
+# sum moduli are tried.
 SMALL_MODULUS_LIMIT = 64
 
 # Words of a small modulus with at most this many colors are built once and
@@ -108,8 +108,7 @@ class LowerBound:
     kind "segment": the vertices 0..length admit no 3-coloring, established
     by segment_colorable: an edge between two vertices that every
     3-coloring forces to share a color is the whole refutation.  length is
-    the first of a + b + c and 2(b + c) that is refuted; when a + b + c
-    lies past MAX_WORD_LENGTH, b + c takes its place.
+    a + b + c, or b + c when a + b + c lies past MAX_WORD_LENGTH.
     """
 
     kind: str
@@ -204,10 +203,9 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
        multiplier j = 1 .. m // 2, in that order, each modulus decided by
        three lookups in its table of multiplier bitmasks (_window_masks):
        the least j is the lowest bit the three residues' masks share;
-    2. the distinct collapse moduli |s - t| and s + t of two distances, one
-       per move of intmat.COLLAPSE_MOVES, that lie above SMALL_MODULUS_LIMIT
-       and at most b + c, in ascending order, each decided in O(log m) by
-       _collapse_multiplier.
+    2. the sum moduli a + b, a + c and b + c that lie above
+       SMALL_MODULUS_LIMIT, in that (ascending) order, each decided in
+       O(log m) by _collapse_multiplier.
 
     Below the chromatic number the result is None, and lower_bound proves
     why; at or above it, no triple is known to give None.
@@ -235,16 +233,15 @@ def find_periodic_coloring(t: DistanceTriple, k: int) -> "PeriodicColoring | Non
         hit = masks[a % m] & masks[b % m] & masks[c % m]
         if hit:
             return _rotation_word(t, m, (hit & -hit).bit_length() - 1, k)
-    d = (a, b, c)
-    moduli = {abs(d[i] - sign * d[j]) for i, j, sign in COLLAPSE_MOVES}
-    for m in sorted(n for n in moduli if SMALL_MODULUS_LIMIT < n <= bound):
-        # The window is symmetric under r -> m - r, so a residue and its
-        # negative impose the same constraint; two distances coincide up to
-        # sign at a collapse modulus, so at most two residues are left.
-        folded = sorted({min(r, m - r) for r in (a % m, b % m, c % m)})
-        j = _collapse_multiplier(m, k, folded[0], folded[-1])
-        if j is not None:
-            return _rotation_word(t, m, j, k)
+    for m in (a + b, a + c, bound):  # ascending, since a <= b <= c
+        if m > SMALL_MODULUS_LIMIT:
+            # The window is symmetric under r -> m - r, so a residue and its
+            # negative impose the same constraint; at the sum modulus s + t
+            # the distance t is -s, so at most two residues are left.
+            folded = sorted({min(r, m - r) for r in (a % m, b % m, c % m)})
+            j = _collapse_multiplier(m, k, folded[0], folded[-1])
+            if j is not None:
+                return _rotation_word(t, m, j, k)
     return None
 
 
@@ -499,12 +496,15 @@ def upper_bound(t: DistanceTriple, k: int) -> PeriodicColoring:
 
 def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
     """The witness that the triple's graph has no proper k-coloring, for
-    1 <= k < chi: an edge, parity, or an uncolorable segment 0..L, tried at
-    L = a + b + c and then at L = 2(b + c).  Every chi = 4 triple measured,
-    every coprime one with c <= 300 among them, is refuted at the first, so
-    one segment is built per certificate.  When a + b + c lies past
-    MAX_WORD_LENGTH, L = b + c is tried first instead, so a triple refuted
-    at b + c inside the envelope is still answered.
+    1 <= k < chi: an edge, parity, or an uncolorable segment 0..L at
+    L = a + b + c.  For (1, 2, c) with 3 | c that segment is refuted by
+    proof: x - 1 and x + 2 are adjacent to both ends of the edge x ~ x + 1,
+    so they share the third color, the classes have period 3 on 0..L, and
+    the edge 0 ~ c lies inside one class.  For (a, b, a + b) it is tested:
+    the tests refute every chi = 4 triple with c <= 200 there, and every
+    one with c <= 400 and 700 random ones with 10**3 <= c < 5 * 10**5 were
+    refuted when measured.  Past MAX_WORD_LENGTH, b + c is tried first; if
+    that segment stands, segment_colorable refuses a + b + c.
 
     Raises CertificationError when the witness fails, which for k < chi
     would contradict the classification, and InvalidInputError for k that
@@ -522,15 +522,13 @@ def lower_bound(t: DistanceTriple, k: int) -> LowerBound:
         if is_bipartite(t):
             raise CertificationError(f"parity lower bound unsound for {_brief(t.distances())}")
         return _PARITY
-    first = t.a + t.b + t.c
-    if first > MAX_WORD_LENGTH:
-        first = t.b + t.c
-    for length in (first, 2 * (t.b + t.c)):
-        if not segment_colorable(t, length, k):
-            return LowerBound(LOWER_SEGMENT, length)
+    length = t.a + t.b + t.c
+    if length > MAX_WORD_LENGTH and not segment_colorable(t, t.b + t.c, k):
+        return LowerBound(LOWER_SEGMENT, t.b + t.c)
+    if not segment_colorable(t, length, k):  # past the envelope, this refuses
+        return LowerBound(LOWER_SEGMENT, length)
     raise CertificationError(
-        f"no uncolorable segment at L = {_brief(first)} or {_brief(length)} "
-        f"for {_brief(t.distances())}"
+        f"no uncolorable segment at L = {_brief(length)} for {_brief(t.distances())}"
     )
 
 

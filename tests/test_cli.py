@@ -65,7 +65,7 @@ def test_chi_json_huge_distance(capsys):
 
 def test_chi_json_collapse_modulus(capsys):
     # The first word of (1, 3^8, 2 * 3^8) has period b + c = 3^9, found at
-    # that collapse modulus.
+    # that sum modulus.
     assert main(["chi", "1", "6561", "13122", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["chi"], payload["period"]) == (3, 19683)

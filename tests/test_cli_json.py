@@ -60,8 +60,8 @@ SCALED_TRIPLES = st.tuples(
 
 # Every branch and every lower-bound kind: (1, 3, 5) is ALL_ODD with a
 # trivial bound, (1, 2, 4) OTHERWISE with a parity bound, (1, 2, 6)
-# A1_B2_3DIVC and (2, 3, 5) SUM_NOT_CONG_MOD3 with a segment bound at
-# L = b + c, and (3, 5, 8) with one at L = 2(b + c).
+# A1_B2_3DIVC and (2, 3, 5) SUM_NOT_CONG_MOD3 with segment bounds at
+# L = a + b + c = 9 and 10, and (3, 5, 8) with one at L = a + b + c = 16.
 @settings(max_examples=200, deadline=None)
 @given(SCALED_TRIPLES)
 @example([1, 3, 5])

@@ -30,7 +30,7 @@ from distchroma.periodic import (
     verify_periodic,
     word_is_proper,
 )
-from distchroma.zhu import ChiBranch, chi_formula, normalize_triple
+from distchroma.zhu import ChiBranch, DistanceTriple, chi_formula, normalize_triple
 
 triples = st.tuples(
     st.integers(1, 20), st.integers(1, 20), st.integers(1, 20)
@@ -59,7 +59,7 @@ def test_rotation_word_golden():
 def test_rotation_word_found_without_search():
     # Every coprime triple up to c = 60 has a rotation word with period
     # <= b + c at the chromatic number and one color above it, found at a
-    # small modulus or a collapse modulus.
+    # small modulus or a sum modulus.
     for t in iter_triples(60):
         chi, _ = chi_formula(t)
         for k in (chi, chi + 1):
@@ -67,12 +67,24 @@ def test_rotation_word_found_without_search():
             assert 2 <= pc.period <= t.b + t.c
             assert all(0 <= color < k for color in pc.colors)
             assert word_is_proper(t.distances(), pc.colors)
+            assert_no_difference_modulus_comes_first(t, k, pc.period)
+
+
+def assert_no_difference_modulus_comes_first(t, k, period):
+    # Past the small moduli only the sums s + t are tried.  A difference
+    # |s - t| below the word's period that admitted a multiplier would have
+    # given an earlier word; none does, so trying them changes no answer.
+    a, b, c = t.distances()
+    for m in {b - a, c - a, c - b}:
+        if SMALL_MODULUS_LIMIT < m < period:
+            folded = sorted({min(r, m - r) for r in (a % m, b % m, c % m)})
+            assert _collapse_multiplier(m, k, folded[0], folded[-1]) is None, (t.distances(), k, m)
 
 
 def assert_small_moduli_match_the_scan(t, k):
     # Step 1 of find_periodic_coloring returns the word of the first (m, j)
     # the two-loop scan finds; when the scan finds none, any word comes from
-    # a collapse modulus above SMALL_MODULUS_LIMIT.
+    # a sum modulus above SMALL_MODULUS_LIMIT.
     hit = small_modulus_scan(t.distances(), k, SMALL_MODULUS_LIMIT)
     try:
         pc = find_periodic_coloring(t, k)
@@ -103,7 +115,7 @@ def test_small_moduli_match_the_scan_for_large_distances(raw, k):
 
 
 def test_rotation_word_at_collapse_modulus():
-    # No modulus up to 64 admits a 3-coloring word; the collapse modulus
+    # No modulus up to 64 admits a 3-coloring word; the sum modulus
     # b + c = 69 = 3 * 23 does, though no distance is a unit mod 69.
     t = normalize_triple(3, 23, 46)
     pc = find_periodic_coloring(t, 3)
@@ -188,7 +200,7 @@ def test_tables_and_shared_words_stay_bounded():
 
 @st.composite
 def large_triples(draw):
-    # Free triples, and the shapes whose words sit at a collapse modulus:
+    # Free triples, and the shapes whose words sit at a sum modulus:
     # (x, y, x + y) and (x, y, 2y), as in (1, 3^n, 2 * 3^n).
     x = draw(st.integers(1, 5 * 10**11))
     y = draw(st.integers(1, 5 * 10**11))
@@ -210,6 +222,7 @@ def test_rotation_word_found_for_large_triples(t):
     assert pc is not None
     assert 2 <= pc.period <= t.b + t.c
     assert word_is_proper(t.distances(), pc.colors)
+    assert_no_difference_modulus_comes_first(t, chi, pc.period)
 
 
 def test_find_periodic_coloring_fails_below_chromatic_number():
@@ -427,6 +440,18 @@ STANDING_AT_B_PLUS_C = {
 }
 
 
+def four_chromatic(max_c):
+    # Every chi = 4 coprime triple with c <= max_c: the only chi = 4 families
+    # are (1, 2, c) and (a, b, a + b), so these candidates hold them all.
+    candidates = {
+        DistanceTriple(a, b, c)
+        for c in range(3, max_c + 1)
+        for a, b in [(1, 2)] + [(a, c - a) for a in range(1, c // 2 + 1)]
+        if gcd(a, b, c) == 1
+    }
+    return [t for t in candidates if chi_formula(t)[0] == 4]
+
+
 def test_segment_length_golden():
     four = [t for t in iter_triples(20) if chi_formula(t)[0] == 4]
     assert len(four) == 51
@@ -434,8 +459,8 @@ def test_segment_length_golden():
 
 
 def test_segment_length_is_a_plus_b_plus_c():
-    # Every four-chromatic coprime triple with c <= 60 is refuted at the
-    # first length lower_bound tries.
+    # Every four-chromatic coprime triple with c <= 60 is certified at the
+    # one length lower_bound tries ...
     count = 0
     for t in iter_triples(60):
         if chi_formula(t)[0] == 4:
@@ -443,6 +468,11 @@ def test_segment_length_is_a_plus_b_plus_c():
             assert (cert.lower.kind, cert.lower.length) == (LOWER_SEGMENT, t.a + t.b + t.c), t
             count += 1
     assert count == 433
+    # ... and every one with c <= 200 is refuted there.
+    four = four_chromatic(200)
+    assert len(four) == 4639
+    for t in four:
+        assert not segment_colorable(t, t.a + t.b + t.c, 3), t
 
 
 def test_segment_family_a_a1_2a1():
@@ -487,8 +517,8 @@ def test_no_program_path_runs_the_solver(monkeypatch, capsys):
 @given(triples, st.sampled_from([(0, 1), (1, 1), (0, 2)]))
 def test_segment_monotone_in_k(t, coefficients):
     # The refutation agrees with the uncontracted solver at the lengths
-    # lower_bound tries, b + c, a + b + c and 2(b + c), and a segment that
-    # three colors cover is covered by four.
+    # lower_bound tries, b + c and a + b + c, and at 2(b + c), and a
+    # segment that three colors cover is covered by four.
     x, y = coefficients
     length = x * t.a + y * (t.b + t.c)
     colorable = raw_segment_colorable(t, length, 3)
@@ -537,25 +567,27 @@ def test_segment_envelope(monkeypatch):
         certify(normalize_triple(1, 2, 999))
 
 
-def test_lower_bound_refuses_when_neither_length_is_refuted(monkeypatch):
+def test_lower_bound_refuses_when_its_segment_stands(monkeypatch):
     tried = []
 
     def never_refuted(t, length, k):
         tried.append(length)
-        return True
+        # no segment is refuted; past the envelope the real stage refuses
+        return length <= periodic.MAX_WORD_LENGTH or segment_colorable(t, length, k)
 
     monkeypatch.setattr("distchroma.periodic.segment_colorable", never_refuted)
+    # inside the envelope one segment is built, at a + b + c
     with pytest.raises(
-        CertificationError, match=r"^no uncolorable segment at L = 10 or 16 for \(2, 3, 5\)$"
+        CertificationError, match=r"^no uncolorable segment at L = 10 for \(2, 3, 5\)$"
     ):
         lower_bound(normalize_triple(2, 3, 5), 3)
-    assert tried == [10, 16]
-    # Past the envelope b + c is tried first, and the error says so.
+    assert tried == [10]
+    # past it b + c is tried first; when it stands, a + b + c is refused
     tried.clear()
     monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 9)
-    with pytest.raises(CertificationError, match=r"^no uncolorable segment at L = 8 or 16 for"):
+    with pytest.raises(InvalidInputError, match=r"^segment stage for \(2, 3, 5\): L = 10 exceeds"):
         lower_bound(normalize_triple(2, 3, 5), 3)
-    assert tried == [8, 16]
+    assert tried == [8, 10]
 
 
 def test_lower_bound_stays_inside_the_envelope(monkeypatch):
@@ -563,6 +595,22 @@ def test_lower_bound_stays_inside_the_envelope(monkeypatch):
     # refutes three colors; without that guard the triple would be refused.
     monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 9)
     assert certify(normalize_triple(2, 3, 5)).lower.length == 8
+    # Every chi = 4 triple with a + b + c past an envelope of 500 and b + c
+    # inside it: 68 are refuted at b + c, (1, 2, 498) among them, and the
+    # rest are refused with the envelope's error, which names a + b + c.
+    monkeypatch.setattr("distchroma.periodic.MAX_WORD_LENGTH", 500)
+    window = [t for t in four_chromatic(500) if t.b + t.c <= 500 < t.a + t.b + t.c]
+    assert len(window) == 2395
+    answered = 0
+    for t in window:
+        try:
+            witness = lower_bound(t, 3)
+        except InvalidInputError as exc:
+            assert f"L = {t.a + t.b + t.c} exceeds" in str(exc), t
+        else:
+            assert witness.length == t.b + t.c, t
+            answered += 1
+    assert answered == 68
 
 
 # --------------------------------------------------------- certificates
